@@ -62,8 +62,12 @@ fmt-check:
 
 # Full hygiene gate: formatting, vet, the race detector, the
 # instrumentation-never-changes-outputs invariant, and the chaos suite.
+# perfbench is a nested module, so the root ./... never compiles it:
+# vet and test it on its own so an API change cannot break the
+# benchmark unnoticed.
 check: fmt-check chaos
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestInstrumentationByteIdentical|TestInstrumentationDoesNotChangeResults' \
 		./cmd/repro ./internal/core

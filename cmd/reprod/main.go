@@ -16,13 +16,13 @@
 //	       [-replica-id name] [-peers host:port,...] [-lease-ttl d]
 //	       [-chaos-seed n] [-chaos-prob p]
 //
-// Multi-replica mode (-replica-id, plus -peers and a shared
-// -checkpoint-dir) coordinates any number of daemons into one logical
-// cache: the first replica to claim a cold artifact takes a lease in
-// the checkpoint directory and builds it exactly once fleet-wide,
-// siblings fill their caches from GET /v1/cache/{key} or from the
-// shared store, and a replica that dies mid-build has its stale lease
-// taken over after -lease-ttl. -chaos-prob arms deterministic
+// Every daemon builds through one replica coordinator; naming it
+// (-replica-id, plus -peers and a shared -checkpoint-dir) joins any
+// number of daemons into one logical cache: the first replica to
+// claim a cold artifact takes a lease in the checkpoint directory and
+// builds it exactly once fleet-wide, siblings fill their caches from
+// GET /v1/cache/{key} or from the shared store, and a replica that
+// dies mid-build has its stale lease taken over after -lease-ttl. -chaos-prob arms deterministic
 // error-kind fault injections (seeded by -chaos-seed) across the
 // replica failure surface, for convergence drills. See README "Running
 // N replicas".
@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		accessSample = fs.Int("access-log-sample", 1, "log every nth request (head-based, deterministic; 1 = all)")
 		traceBuffer  = fs.Int("trace-buffer", 4096, "span ring capacity for /debug/trace (bounded memory)")
 		runtimePd    = fs.Duration("runtime-sample", 10*time.Second, "runtime gauge sampling period (0 = off)")
-		replicaID    = fs.String("replica-id", "", "enable multi-replica coordination under this replica name")
+		replicaID    = fs.String("replica-id", "", "name this replica in leases and /healthz (default host:pid:n; required for -peers)")
 		peersFlag    = fs.String("peers", "", "comma-separated sibling replica addresses for cache fills (host:port or URL)")
 		leaseTTL     = fs.Duration("lease-ttl", 5*time.Second, "distributed build-lease lifetime between heartbeats")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "deterministic fault-injection seed for the replica chaos sites")
@@ -220,18 +220,18 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	sampler := obs.StartRuntimeSampler(rec.Registry(), *runtimePd)
 	defer sampler.Stop()
 
-	// Multi-replica mode: every artifact build goes through the
-	// fleet-wide coordinator (shared-store singleflight via leases, peer
-	// cache fills). The coordinator owns checkpoint I/O on that path.
-	var coord *replica.Coordinator
+	// Every artifact build goes through the coordinator (shared-store
+	// singleflight via leases, peer cache fills), which owns all
+	// checkpoint I/O. Without -replica-id it has zero peers and a
+	// process-unique name.
+	coord := replica.New(replica.Config{
+		ID:    *replicaID,
+		Store: store,
+		Peers: peers,
+		TTL:   *leaseTTL,
+		Rec:   rec,
+	})
 	if *replicaID != "" {
-		coord = replica.New(replica.Config{
-			ID:    *replicaID,
-			Store: store,
-			Peers: peers,
-			TTL:   *leaseTTL,
-			Rec:   rec,
-		})
 		fmt.Fprintf(stderr, "reprod: replica %q coordinating with %d peer(s), lease TTL %v\n",
 			*replicaID, len(peers), *leaseTTL)
 	}

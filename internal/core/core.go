@@ -447,7 +447,7 @@ func Find(id string) (Experiment, error) {
 }
 
 // RunAll executes every experiment sequentially against one shared
-// context. It is RunAllParallel with a single worker.
+// context. It is RunExperiments with a single worker.
 func RunAll(ctx *Context) ([]*Result, error) {
-	return RunAllParallel(ctx, 1)
+	return RunExperiments(context.Background(), ctx, Experiments(), RunOptions{Workers: 1})
 }

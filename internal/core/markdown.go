@@ -56,15 +56,21 @@ func WriteResultMarkdown(w io.Writer, r *Result) error {
 	return nil
 }
 
+// WriteReportHeader renders the report's title and scale line — the
+// part of a markdown report that precedes the result sections.
+func WriteReportHeader(w io.Writer, cfg Config) {
+	fmt.Fprintf(w, "# Reproduction report\n\n")
+	fmt.Fprintf(w, "Scale: %d machines, %.0f-day simulation, %.0f-day workload, seed %d.\n\n",
+		cfg.Machines, float64(cfg.SimHorizon)/86400, float64(cfg.WorkloadHorizon)/86400, cfg.Seed)
+}
+
 // WriteMarkdownReport renders a full reproduction report: the scale
 // header, every result section in list order, and — when timing rows
 // are supplied (instrumented CLI runs only) — the timing table. The
 // daemon always passes nil timing so served reports stay
 // byte-identical to uninstrumented CLI reports.
 func WriteMarkdownReport(w io.Writer, cfg Config, results []*Result, timing []report.TimingRow) error {
-	fmt.Fprintf(w, "# Reproduction report\n\n")
-	fmt.Fprintf(w, "Scale: %d machines, %.0f-day simulation, %.0f-day workload, seed %d.\n\n",
-		cfg.Machines, float64(cfg.SimHorizon)/86400, float64(cfg.WorkloadHorizon)/86400, cfg.Seed)
+	WriteReportHeader(w, cfg)
 	for _, r := range results {
 		if err := WriteResultMarkdown(w, r); err != nil {
 			return err

@@ -11,29 +11,6 @@ import (
 	"repro/internal/par"
 )
 
-// RunAllParallel executes every paper experiment against one shared
-// context over a bounded worker pool and returns the results in
-// registry order regardless of completion order. workers <= 0 means
-// GOMAXPROCS; workers == 1 reproduces RunAll's exact serial behavior
-// (inline execution, stop at the first error).
-//
-// Parallel results are byte-identical to serial ones: every artifact
-// an experiment consumes is either memoized once in the Context's
-// lazy cells or derived from a splittable rng child stream keyed only
-// by (seed, label), so no experiment can observe how many neighbours
-// run beside it.
-func RunAllParallel(ctx *Context, workers int) ([]*Result, error) {
-	return RunExperiments(context.Background(), ctx, Experiments(), RunOptions{Workers: workers})
-}
-
-// RunExperimentsParallel is RunExperiments over an explicit experiment
-// list with default fault-tolerance options (no deadline, no
-// checkpointing, abort on first failure), kept for callers that
-// predate RunOptions.
-func RunExperimentsParallel(ctx *Context, exps []Experiment, workers int) ([]*Result, error) {
-	return RunExperiments(context.Background(), ctx, exps, RunOptions{Workers: workers})
-}
-
 // RunOptions configures the fault-tolerant experiment runner.
 type RunOptions struct {
 	// Workers bounds the worker pool (<= 0 means GOMAXPROCS; 1 runs

@@ -5,66 +5,26 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/obs"
 )
 
-// RunOne executes a single experiment through the same layers the
-// batch runner applies — checkpoint lookup, panic isolation, an
-// optional per-run deadline, checkpoint write-back — without a worker
-// pool. It is the serving daemon's entry point: each HTTP request for
-// a cold artifact becomes exactly one RunOne behind the request
-// coalescer, and a store warmed by an earlier CLI run (the keys are
-// shared via CheckpointKey) answers from disk without re-simulating.
+// RunOne executes a single experiment with the protections the batch
+// runner applies — panic isolation, a named fault site, an optional
+// per-run deadline — without a worker pool. It is the serving daemon's
+// build step: each cold artifact becomes exactly one RunOne behind the
+// daemon's request coalescer and the replica coordinator, which owns
+// all checkpoint I/O around it.
 //
 // The error, like RunExperiments', is wrapped "core: <id>: ...";
-// context cancellation surfaces unwrapped causes via errors.Is. A
-// checkpoint hit bypasses the build entirely, so it records no
-// core.cell.* activity and no experiment span.
-//
-// When ctx carries a request trace (the serving path), the checkpoint
-// load/save and the experiment run each become child spans of it, and
-// checkpoint hit/miss is noted on the request's annotation bag; the
-// untraced path (prewarm, tests) behaves exactly as before.
-func RunOne(ctx context.Context, c *Context, e Experiment, timeout time.Duration, store *ckpt.Store) (*Result, error) {
-	rec := c.Recorder()
-	ri := obs.ReqInfoFrom(ctx)
-	_, traced := obs.SpanFromContext(ctx)
-	if traced {
-		// One Chrome lane for the whole build side of this request: the
-		// context crossed the coalescer's goroutine boundary, so it has a
-		// span identity but no lane yet.
-		ctx = rec.PinLane(ctx)
-	}
-	if store.Enabled() {
-		var lsp *obs.Span
-		if traced {
-			lsp, _ = rec.StartSpan(ctx, "ckpt:load:"+e.ID, obs.CatServe)
-		}
-		var cached Result
-		ok, _ := store.Load(CheckpointKey(c.Cfg, e.ID), &cached)
-		lsp.End()
-		if ok && cached.ID == e.ID {
-			ri.MarkCkptHit()
-			return &cached, nil
-		}
-		ri.MarkCkptMiss()
-	}
-	sp, runCtx := rec.StartSpan(ctx, "exp:"+e.ID, obs.CatExperiment)
+// context cancellation surfaces unwrapped causes via errors.Is. When
+// ctx carries a request trace, the experiment run becomes an
+// exp:<id> child span of it.
+func RunOne(ctx context.Context, c *Context, e Experiment, timeout time.Duration) (*Result, error) {
+	sp, runCtx := c.Recorder().StartSpan(ctx, "exp:"+e.ID, obs.CatExperiment)
 	r, err := runExperimentProtected(runCtx, c, e, timeout)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", e.ID, err)
-	}
-	if store.Enabled() && !r.Failed() {
-		// Best-effort, exactly like the batch runner: an unwritable
-		// artifact is simply not checkpointed (ckpt.skip counts it).
-		var ssp *obs.Span
-		if traced {
-			ssp, _ = rec.StartSpan(ctx, "ckpt:save:"+e.ID, obs.CatServe)
-		}
-		_ = store.Save(CheckpointKey(c.Cfg, e.ID), r)
-		ssp.End()
 	}
 	return r, nil
 }

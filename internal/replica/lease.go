@@ -36,7 +36,7 @@ func (r leaseRecord) expired(now time.Time) bool {
 
 // leaseDir implements the on-disk lease protocol over the shared
 // checkpoint directory: one `<key>.lease` file per in-flight build,
-// created atomically (O_CREATE|O_EXCL), renewed by the builder's
+// created atomically (temp file + hard link), renewed by the builder's
 // heartbeat via temp-file + rename, deleted on release — or by any
 // replica that finds it expired (takeover).
 type leaseDir struct {
@@ -52,10 +52,10 @@ func (l *leaseDir) path(key string) string {
 
 // tryAcquire attempts to claim key. held=true means this replica now
 // owns the lease and must build; held=false with err=nil means a live
-// holder exists and cur describes it. takeover reports that an expired
-// lease was deleted along the way (counted by the caller only when the
-// claim then succeeded). A non-nil err means the lease infrastructure
-// itself failed — unwritable directory, injected fault — and the caller
+// holder exists and cur describes it. takeover reports that this call
+// deleted an expired lease along the way, whether or not it then won
+// the claim. A non-nil err means the lease infrastructure itself
+// failed — unwritable directory, injected fault — and the caller
 // degrades to an uncoordinated local build.
 func (l *leaseDir) tryAcquire(key string) (held bool, cur leaseRecord, takeover bool, err error) {
 	if err := fault.Hit(SiteLeaseAcquire); err != nil {
@@ -77,46 +77,73 @@ func (l *leaseDir) tryAcquire(key string) (held bool, cur leaseRecord, takeover 
 			return false, leaseRecord{}, takeover, err
 		}
 		if ok && !rec.expired(l.now()) {
-			return false, rec, false, nil
+			return false, rec, takeover, nil
 		}
-		if ok {
-			// Crashed builder: the lease outlived its heartbeat. Delete
-			// it and race for the claim.
-			os.Remove(l.path(key))
+		if ok && l.removeIf(key, rec) {
+			// Crashed builder: the lease outlived its heartbeat.
 			takeover = true
 		}
-		// !ok: the file vanished between create and read (released or
-		// taken over); loop and try the create again.
+		// Otherwise the file vanished or changed since the read
+		// (released, or another waiter took it over): try the create
+		// again.
 	}
 	rec, _, err := l.read(key)
 	if err != nil {
 		return false, leaseRecord{}, takeover, err
 	}
-	return false, rec, false, nil
+	return false, rec, takeover, nil
 }
 
-// create makes the O_EXCL claim attempt. created=false with err=nil
-// means the file already exists (someone holds, or held, the lease).
+// removeIf deletes key's lease only if it still holds rec. Two waiters
+// that read the same expired record both try to take it over; the
+// second must not delete the fresh lease the first has just created.
+func (l *leaseDir) removeIf(key string, rec leaseRecord) bool {
+	cur, ok, err := l.read(key)
+	if err != nil || !ok || cur != rec {
+		return false
+	}
+	return os.Remove(l.path(key)) == nil
+}
+
+// create makes the claim attempt. The record is written to a temp file
+// first and then hard-linked into place, which fails if the lease
+// exists: a concurrent read therefore sees either no lease or a
+// complete record, never an empty file that would decode as expired.
+// created=false with err=nil means someone holds, or held, the lease.
 func (l *leaseDir) create(key string) (rec leaseRecord, created bool, err error) {
-	f, err := os.OpenFile(l.path(key), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	rec = leaseRecord{Owner: l.owner, Seq: 1, Expires: l.now().Add(l.ttl).UnixNano()}
+	tmpName, err := l.writeTemp(rec)
 	if err != nil {
+		return leaseRecord{}, false, fmt.Errorf("replica: lease create %s: %w", key, err)
+	}
+	defer os.Remove(tmpName)
+	if err := os.Link(tmpName, l.path(key)); err != nil {
 		if os.IsExist(err) {
 			return leaseRecord{}, false, nil
 		}
 		return leaseRecord{}, false, fmt.Errorf("replica: lease create %s: %w", key, err)
 	}
-	rec = leaseRecord{Owner: l.owner, Seq: 1, Expires: l.now().Add(l.ttl).UnixNano()}
-	b, _ := json.Marshal(rec)
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(l.path(key))
-		return leaseRecord{}, false, fmt.Errorf("replica: lease write %s: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(l.path(key))
-		return leaseRecord{}, false, fmt.Errorf("replica: lease close %s: %w", key, err)
-	}
 	return rec, true, nil
+}
+
+// writeTemp writes rec to a fresh temp file in the lease directory and
+// returns its name.
+func (l *leaseDir) writeTemp(rec leaseRecord) (string, error) {
+	b, _ := json.Marshal(rec)
+	tmp, err := os.CreateTemp(l.dir, "lease-tmp-*")
+	if err != nil {
+		return "", err
+	}
+	if _, err := tmp.Write(b); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }
 
 // read returns the current lease record. ok=false means no lease file
@@ -151,19 +178,8 @@ func (l *leaseDir) renew(key string, seq int64) (int64, error) {
 		return seq, ErrLeaseLost
 	}
 	rec := leaseRecord{Owner: l.owner, Seq: seq + 1, Expires: l.now().Add(l.ttl).UnixNano()}
-	b, _ := json.Marshal(rec)
-	tmp, err := os.CreateTemp(l.dir, "lease-tmp-*")
+	tmpName, err := l.writeTemp(rec)
 	if err != nil {
-		return seq, fmt.Errorf("replica: lease renew %s: %w", key, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return seq, fmt.Errorf("replica: lease renew %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
 		return seq, fmt.Errorf("replica: lease renew %s: %w", key, err)
 	}
 	if err := os.Rename(tmpName, l.path(key)); err != nil {

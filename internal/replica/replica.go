@@ -1,13 +1,15 @@
-// Package replica makes N serving daemons behave like one: a two-tier
-// content-addressed artifact cache (in-process payload LRU, then the
-// shared ckpt.Store) with lease-based distributed singleflight on top,
-// so a key is built once across the whole fleet no matter which replica
-// the requests land on — and keeps being served when the replica that
-// was building it dies mid-build.
+// Package replica is the one layer that turns a cold artifact request
+// into checkpoint bytes: shared-store lookup, lease-based distributed
+// singleflight, peer cache fill and the build itself, so a key is built
+// once across the whole fleet no matter which replica the requests land
+// on — and keeps being served when the replica that was building it
+// dies mid-build. A single daemon is the same coordinator with zero
+// peers. The in-process tier of finished bytes lives in the daemon
+// (internal/serve), in front of this package.
 //
 // Protocol: the first replica to claim a key atomically creates
-// `<key>.lease` in the shared checkpoint directory (O_CREATE|O_EXCL,
-// owner ID, TTL deadline) and builds; its heartbeat renews the deadline
+// `<key>.lease` in the shared checkpoint directory (temp file hard-linked
+// into place: owner ID, TTL deadline) and builds; its heartbeat renews the deadline
 // while the build runs. Every other replica waits: polling the shared
 // store for the finished artifact, asking sibling replicas over HTTP
 // (GET /v1/cache/{key}, each attempt deadline-bounded, rounds spaced by
@@ -26,13 +28,15 @@
 package replica
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -62,17 +66,14 @@ type Source int
 
 const (
 	SourceNone          Source = iota
-	SourceLocal                // tier 1: this replica's in-process payload LRU
-	SourceStore                // tier 2: the shared checkpoint store
+	SourceStore                // the shared checkpoint store
 	SourcePeer                 // HTTP cache fill from a sibling replica
 	SourceBuild                // built here under a held lease
-	SourceBuildUnleased        // built here without coordination (degraded)
+	SourceBuildUnleased        // built here without a lease: no store, or the lease directory failed
 )
 
 func (s Source) String() string {
 	switch s {
-	case SourceLocal:
-		return "local"
 	case SourceStore:
 		return "store"
 	case SourcePeer:
@@ -89,11 +90,12 @@ func (s Source) String() string {
 // Config assembles a Coordinator.
 type Config struct {
 	// ID names this replica in lease files, temp-file suffixes and
-	// /healthz. Required.
+	// /healthz. Empty picks host:pid:n, unique to this coordinator, so
+	// daemons sharing a checkpoint directory never share a lease owner.
 	ID string
 
-	// Store is the shared tier-2 cache; leases live in its directory.
-	// A disabled store leaves only tier 1 + peer fill + local builds
+	// Store is the shared checkpoint cache; leases live in its
+	// directory. A disabled store leaves only peer fill + local builds
 	// (no cross-replica singleflight: there is nowhere to put a lease).
 	Store *ckpt.Store
 
@@ -123,9 +125,6 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// LocalCap bounds the tier-1 payload LRU (default 64 entries).
-	LocalCap int
-
 	// Rec receives replica.* metrics and, for traced requests, the
 	// lease-wait and peer-fill spans. nil allocates a fresh recorder.
 	Rec *obs.Recorder
@@ -147,15 +146,12 @@ type Coordinator struct {
 	poll           time.Duration
 	retries        int
 
-	local *byteLRU
-
 	dmu      sync.Mutex
 	degraded map[string]string
 	degGauge *obs.Gauge
 
 	peerMet peerMetrics
 
-	localHit      *obs.Counter
 	storeHit      *obs.Counter
 	peerHit       *obs.Counter
 	buildDone     *obs.Counter
@@ -177,6 +173,9 @@ type peerMetrics struct {
 	misses   *obs.Counter
 	errs     *obs.Counter
 }
+
+// unnamed numbers the coordinators made without an ID.
+var unnamed atomic.Uint64
 
 // New assembles a Coordinator from cfg, applying defaults.
 func New(cfg Config) *Coordinator {
@@ -219,10 +218,6 @@ func New(cfg Config) *Coordinator {
 	if max <= 0 {
 		max = time.Second
 	}
-	localCap := cfg.LocalCap
-	if localCap <= 0 {
-		localCap = 64
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
@@ -237,8 +232,16 @@ func New(cfg Config) *Coordinator {
 		}
 		peers = append(peers, p)
 	}
+	id := cfg.ID
+	if id == "" {
+		host, err := os.Hostname()
+		if err != nil {
+			host = "localhost"
+		}
+		id = fmt.Sprintf("%s:%d:%d", host, os.Getpid(), unnamed.Add(1))
+	}
 	c := &Coordinator{
-		id:    cfg.ID,
+		id:    id,
 		store: cfg.Store,
 		rec:   rec,
 		peerc: &peerSet{
@@ -248,12 +251,11 @@ func New(cfg Config) *Coordinator {
 			retries:      retries,
 			backoffBase:  base,
 			backoffMax:   max,
-			jitter:       rng.New(ckptSeed(cfg.ID)).Child("replica.backoff"),
+			jitter:       rng.New(ckptSeed(id)).Child("replica.backoff"),
 		},
 		heartbeatEvery: hb,
 		poll:           poll,
 		retries:        retries,
-		local:          newByteLRU(localCap),
 		degraded:       make(map[string]string),
 		degGauge:       reg.Gauge("replica.degraded"),
 		peerMet: peerMetrics{
@@ -262,7 +264,6 @@ func New(cfg Config) *Coordinator {
 			misses:   reg.Counter("replica.peer.miss"),
 			errs:     reg.Counter("replica.peer.err"),
 		},
-		localHit:      reg.Counter("replica.local.hit"),
 		storeHit:      reg.Counter("replica.store.hit"),
 		peerHit:       reg.Counter("replica.peer.fill"),
 		buildDone:     reg.Counter("replica.build.done"),
@@ -277,8 +278,8 @@ func New(cfg Config) *Coordinator {
 		leaseWaits:    reg.Counter("replica.lease.wait"),
 	}
 	if cfg.Store.Enabled() {
-		c.leases = &leaseDir{dir: cfg.Store.Dir(), owner: cfg.ID, ttl: ttl, now: time.Now}
-		cfg.Store.SetWriter(cfg.ID)
+		c.leases = &leaseDir{dir: cfg.Store.Dir(), owner: id, ttl: ttl, now: time.Now}
+		cfg.Store.SetWriter(id)
 	}
 	return c
 }
@@ -332,47 +333,36 @@ func (c *Coordinator) clearDegraded(subsystem string) {
 	}
 }
 
-// ServeLocal answers a sibling's cache-fill request from this replica's
-// own tiers — never by building and never by asking peers, so fills
-// cannot recurse across the fleet. The returned payload is the exact
-// checkpoint encoding.
+// ServeLocal answers a sibling's cache-fill request from the shared
+// store — never by building and never by asking peers, so fills cannot
+// recurse across the fleet. The daemon tries its in-process tier
+// first; replica.cache.served counts the fills answered here. The
+// returned payload is the exact checkpoint encoding.
 func (c *Coordinator) ServeLocal(key string) ([]byte, bool) {
-	if payload, ok := c.local.get(key); ok {
+	payload, ok, _ := c.store.LoadRaw(key)
+	if ok {
 		c.served.Add(1)
-		return payload, true
 	}
-	if payload, ok, _ := c.store.LoadRaw(key); ok {
-		c.local.put(key, payload)
-		c.served.Add(1)
-		return payload, true
-	}
-	return nil, false
+	return payload, ok
 }
 
-// Do returns the value for the content-addressed key, trying tier 1,
-// tier 2, peer fill and finally building via build under a distributed
-// lease. newV allocates the value that store/peer payloads unmarshal
-// into; the build path returns build's value directly. ctx bounds the
-// whole call (waiting included) and is handed to build.
-func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
-	if payload, ok := c.local.get(key); ok {
-		c.localHit.Add(1)
-		if v, err := unmarshalInto(newV, payload); err == nil {
-			return v, SourceLocal, nil
-		}
-		// A corrupt tier-1 entry (impossible short of memory damage)
-		// falls through to the authoritative tiers.
-	}
-	if v, ok := c.loadStore(key, newV); ok {
-		return v, SourceStore, nil
+// Do returns the checkpoint payload for the content-addressed key:
+// from the shared store, from a peer, or by building under a
+// distributed lease and publishing the JSON encoding of build's value.
+// name labels the ckpt:load:<name> and ckpt:save:<name> spans of traced
+// requests. ctx bounds the whole call (waiting included) and is handed
+// to build.
+func (c *Coordinator) Do(ctx context.Context, key, name string, build func(context.Context) (any, error)) ([]byte, Source, error) {
+	if payload, ok := c.loadStore(ctx, key, name); ok {
+		return payload, SourceStore, nil
 	}
 	if c.leases == nil {
 		// No shared directory, no distributed singleflight: probe the
 		// peers once (with retries for transient failures), then build.
-		if v, ok := c.peerFill(ctx, key, newV); ok {
-			return v, SourcePeer, nil
+		if payload, ok := c.peerFill(ctx, key); ok {
+			return payload, SourcePeer, nil
 		}
-		return c.buildLocal(ctx, key, newV, build, SourceBuildUnleased)
+		return c.buildLocal(ctx, key, name, build)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -385,7 +375,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 			// accept the duplicate work, flag the degradation.
 			c.leaseErr.Add(1)
 			c.setDegraded("lease", err)
-			return c.buildLocal(ctx, key, newV, build, SourceBuildUnleased)
+			return c.buildLocal(ctx, key, name, build)
 		}
 		c.clearDegraded("lease")
 		if takeover {
@@ -393,77 +383,97 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 		}
 		if held {
 			c.leaseAcquired.Add(1)
-			return c.buildLeased(ctx, key, newV, build)
+			// Another replica may have published and released between
+			// the first store probe and this claim.
+			if payload, ok := c.loadStore(ctx, key, ""); ok {
+				c.leases.release(key)
+				return payload, SourceStore, nil
+			}
+			return c.buildLeased(ctx, key, name, build)
 		}
-		v, src, done, err := c.waitForHolder(ctx, key, cur, newV)
+		payload, src, done, err := c.waitForHolder(ctx, key, cur)
 		if done {
-			return v, src, err
+			return payload, src, err
 		}
 		// The holder released without publishing a result, or its lease
 		// expired: loop and race for the claim.
 	}
 }
 
-// loadStore is the tier-2 read: validated payload from the shared
-// store, promoted into tier 1.
-func (c *Coordinator) loadStore(key string, newV func() any) (any, bool) {
+// loadStore reads key's validated payload from the shared store. A
+// named read records a ckpt:load:<name> span on traced requests; the
+// re-checks and the waiter's polling pass no name.
+func (c *Coordinator) loadStore(ctx context.Context, key, name string) ([]byte, bool) {
+	if !c.store.Enabled() {
+		return nil, false
+	}
+	var sp *obs.Span
+	if _, traced := obs.SpanFromContext(ctx); traced && name != "" {
+		sp, _ = c.rec.StartSpan(ctx, "ckpt:load:"+name, obs.CatServe)
+	}
 	payload, ok, _ := c.store.LoadRaw(key)
-	if !ok {
-		return nil, false
+	sp.End()
+	if ok {
+		c.storeHit.Add(1)
 	}
-	v, err := unmarshalInto(newV, payload)
-	if err != nil {
-		return nil, false
-	}
-	c.local.put(key, payload)
-	c.storeHit.Add(1)
-	return v, true
+	return payload, ok
 }
 
 // buildLeased runs build while heartbeating the held lease, publishes
-// the result to both tiers, and releases.
-func (c *Coordinator) buildLeased(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
+// the result, and releases.
+func (c *Coordinator) buildLeased(ctx context.Context, key, name string, build func(context.Context) (any, error)) ([]byte, Source, error) {
 	stop := c.startHeartbeat(ctx, key)
 	v, err := build(ctx)
 	stop()
+	var payload []byte
+	if err == nil {
+		payload, err = c.publish(ctx, key, name, v)
+	}
+	// On failure the release gives the next claimant a clean shot
+	// instead of making it wait out the TTL.
+	c.leases.release(key)
 	if err != nil {
-		// Give the next claimant a clean shot instead of making it
-		// wait out the TTL.
-		c.leases.release(key)
 		return nil, SourceNone, err
 	}
-	c.buildDone.Add(1)
-	c.publish(key, v)
-	c.leases.release(key)
-	return v, SourceBuild, nil
+	return payload, SourceBuild, nil
 }
 
-// buildLocal is the uncoordinated fallback: build, publish, count the
-// degraded source.
-func (c *Coordinator) buildLocal(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error), src Source) (any, Source, error) {
+// buildLocal is the uncoordinated build: no shared store to lease in,
+// or the lease directory failed.
+func (c *Coordinator) buildLocal(ctx context.Context, key, name string, build func(context.Context) (any, error)) ([]byte, Source, error) {
 	v, err := build(ctx)
 	if err != nil {
 		return nil, SourceNone, err
 	}
-	c.buildDone.Add(1)
-	if src == SourceBuildUnleased {
-		c.buildUnleased.Add(1)
+	payload, err := c.publish(ctx, key, name, v)
+	if err != nil {
+		return nil, SourceNone, err
 	}
-	c.publish(key, v)
-	return v, src, nil
+	c.buildUnleased.Add(1)
+	return payload, SourceBuildUnleased, nil
 }
 
-// publish installs a finished value in tier 1 and, best-effort, tier 2.
-// A store write failure marks the coordinator degraded — the artifact
-// still serves from the local tier; a duplicate store file (another
-// replica finished first) counts the redundant work.
-func (c *Coordinator) publish(key string, v any) {
+// publish encodes a finished value and, best-effort, writes it to the
+// shared store. A store write failure marks the coordinator degraded —
+// the daemon still serves the returned bytes from memory; a duplicate
+// store file (another replica finished first) counts the redundant
+// work. A value that cannot be encoded (NaN metrics) is an error: it
+// has no bytes to serve.
+func (c *Coordinator) publish(ctx context.Context, key, name string, v any) ([]byte, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
-		return // unmarshalable values are served but not cacheable
+		return nil, fmt.Errorf("replica: encode %s: %w", name, err)
 	}
-	c.local.put(key, payload)
+	c.buildDone.Add(1)
+	if !c.store.Enabled() {
+		return payload, nil
+	}
+	var sp *obs.Span
+	if _, traced := obs.SpanFromContext(ctx); traced {
+		sp, _ = c.rec.StartSpan(ctx, "ckpt:save:"+name, obs.CatServe)
+	}
 	dup, err := c.store.SaveRaw(key, payload)
+	sp.End()
 	switch {
 	case err != nil:
 		c.setDegraded("store", err)
@@ -473,6 +483,7 @@ func (c *Coordinator) publish(key string, v any) {
 	default:
 		c.clearDegraded("store")
 	}
+	return payload, nil
 }
 
 // startHeartbeat renews key's lease every heartbeat period until
@@ -521,7 +532,7 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string) (stop func
 // rounds with jittered backoff in between, and watching the lease.
 // done=false means the lease vanished or expired and the caller should
 // race to claim the key.
-func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRecord, newV func() any) (v any, src Source, done bool, err error) {
+func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRecord) (payload []byte, src Source, done bool, err error) {
 	c.leaseWaits.Add(1)
 	var sp *obs.Span
 	if _, traced := obs.SpanFromContext(ctx); traced {
@@ -533,8 +544,8 @@ func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRe
 	ticker := time.NewTicker(c.poll)
 	defer ticker.Stop()
 	for {
-		if v, ok := c.loadStore(key, newV); ok {
-			return v, SourceStore, true, nil
+		if payload, ok := c.loadStore(ctx, key, ""); ok {
+			return payload, SourceStore, true, nil
 		}
 		rec, ok, rerr := c.leases.read(key)
 		now := time.Now()
@@ -553,11 +564,8 @@ func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRe
 		if round < c.retries && !now.Before(nextPeer) {
 			res := c.peerc.round(ctx, key, &c.peerMet)
 			if res.ok {
-				c.local.put(key, res.payload)
-				if v, uerr := unmarshalInto(newV, res.payload); uerr == nil {
-					c.peerHit.Add(1)
-					return v, SourcePeer, true, nil
-				}
+				c.peerHit.Add(1)
+				return res.payload, SourcePeer, true, nil
 			}
 			round++
 			nextPeer = time.Now().Add(c.peerc.backoff(round))
@@ -573,7 +581,10 @@ func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRe
 // peerFill is the storeless cache-fill: bounded rounds over all peers
 // with jittered backoff, stopping early when every peer definitively
 // misses (no shared store means a miss everywhere is final — build).
-func (c *Coordinator) peerFill(ctx context.Context, key string, newV func() any) (any, bool) {
+func (c *Coordinator) peerFill(ctx context.Context, key string) ([]byte, bool) {
+	if len(c.peerc.peers) == 0 {
+		return nil, false
+	}
 	var sp *obs.Span
 	if _, traced := obs.SpanFromContext(ctx); traced {
 		sp, ctx = c.rec.StartSpan(ctx, "replica:peer:"+shortKey(key), obs.CatReplica)
@@ -582,11 +593,8 @@ func (c *Coordinator) peerFill(ctx context.Context, key string, newV func() any)
 	for round := 1; round <= c.retries; round++ {
 		res := c.peerc.round(ctx, key, &c.peerMet)
 		if res.ok {
-			c.local.put(key, res.payload)
-			if v, err := unmarshalInto(newV, res.payload); err == nil {
-				c.peerHit.Add(1)
-				return v, true
-			}
+			c.peerHit.Add(1)
+			return res.payload, true
 		}
 		if !res.transient || ctx.Err() != nil {
 			return nil, false
@@ -598,71 +606,10 @@ func (c *Coordinator) peerFill(ctx context.Context, key string, newV func() any)
 	return nil, false
 }
 
-func unmarshalInto(newV func() any, payload []byte) (any, error) {
-	v := newV()
-	if err := json.Unmarshal(payload, v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // shortKey abbreviates a 64-hex content address for span names.
 func shortKey(key string) string {
 	if len(key) > 12 {
 		return key[:12]
 	}
 	return key
-}
-
-// byteLRU is the tier-1 cache: a hard-capped, mutex-guarded LRU of
-// checkpoint payloads keyed by content address.
-type byteLRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[string]*list.Element
-}
-
-type byteItem struct {
-	key     string
-	payload []byte
-}
-
-func newByteLRU(cap int) *byteLRU {
-	if cap < 1 {
-		cap = 1
-	}
-	return &byteLRU{cap: cap, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func (l *byteLRU) get(key string) ([]byte, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.m[key]; ok {
-		l.ll.MoveToFront(el)
-		return el.Value.(*byteItem).payload, true
-	}
-	return nil, false
-}
-
-func (l *byteLRU) put(key string, payload []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.m[key]; ok {
-		el.Value.(*byteItem).payload = payload
-		l.ll.MoveToFront(el)
-		return
-	}
-	l.m[key] = l.ll.PushFront(&byteItem{key: key, payload: payload})
-	for l.ll.Len() > l.cap {
-		back := l.ll.Back()
-		l.ll.Remove(back)
-		delete(l.m, back.Value.(*byteItem).key)
-	}
-}
-
-func (l *byteLRU) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ll.Len()
 }

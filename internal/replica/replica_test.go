@@ -22,7 +22,15 @@ type artifact struct {
 	Vals []float64 `json:"vals"`
 }
 
-func newArtifact() any { return &artifact{} }
+// decode unmarshals a payload Do returned.
+func decode(t *testing.T, payload []byte) *artifact {
+	t.Helper()
+	var a artifact
+	if err := json.Unmarshal(payload, &a); err != nil {
+		t.Fatalf("payload %q: %v", payload, err)
+	}
+	return &a
+}
 
 func buildArtifact(name string, calls *atomic.Int64) func(context.Context) (any, error) {
 	return func(context.Context) (any, error) {
@@ -73,20 +81,21 @@ func TestDoBuildsOnceThenServesFromTiers(t *testing.T) {
 	var calls atomic.Int64
 	key := ckpt.Key("replica", "tiers")
 
-	v, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
+	v, src, err := a.Do(context.Background(), key, "tiers", buildArtifact("tiers", &calls))
 	if err != nil || src != SourceBuild {
 		t.Fatalf("first Do: src=%v err=%v", src, err)
 	}
-	if got := v.(*artifact).Name; got != "tiers" {
+	if got := decode(t, v).Name; got != "tiers" {
 		t.Fatalf("value = %q", got)
 	}
-	_, src, err = a.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
-	if err != nil || src != SourceLocal {
+	// The coordinator keeps no in-process tier: a repeat reads the store.
+	_, src, err = a.Do(context.Background(), key, "tiers", buildArtifact("tiers", &calls))
+	if err != nil || src != SourceStore {
 		t.Fatalf("second Do: src=%v err=%v", src, err)
 	}
-	// A fresh replica over the same directory hits tier 2.
+	// A fresh replica over the same directory hits the store too.
 	b := testCoordinator(t, dir, "r1")
-	_, src, err = b.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
+	_, src, err = b.Do(context.Background(), key, "tiers", buildArtifact("tiers", &calls))
 	if err != nil || src != SourceStore {
 		t.Fatalf("sibling Do: src=%v err=%v", src, err)
 	}
@@ -114,12 +123,9 @@ func TestConcurrentReplicasBuildOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := reps[i%len(reps)].Do(context.Background(), key, newArtifact, buildArtifact("stampede", &calls))
+			v, _, err := reps[i%len(reps)].Do(context.Background(), key, "stampede", buildArtifact("stampede", &calls))
 			errs[i] = err
-			if err == nil {
-				b, _ := json.Marshal(v)
-				payloads[i] = string(b)
-			}
+			payloads[i] = string(v)
 		}(i)
 	}
 	wg.Wait()
@@ -159,7 +165,7 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, aErr = a.Do(actx, key, newArtifact, func(ctx context.Context) (any, error) {
+		_, _, aErr = a.Do(actx, key, "takeover", func(ctx context.Context) (any, error) {
 			close(building)
 			<-ctx.Done() // hangs forever: the leader is dead
 			return nil, ctx.Err()
@@ -168,7 +174,7 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	<-building
 
 	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), key, newArtifact, buildArtifact("takeover", &calls))
+	v, src, err := b.Do(context.Background(), key, "takeover", buildArtifact("takeover", &calls))
 	if err != nil {
 		t.Fatalf("b.Do: %v", err)
 	}
@@ -189,7 +195,7 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 
 	// Byte identity: b's served payload must equal a clean serial build.
 	want, _ := json.Marshal(&artifact{Name: "takeover", Vals: []float64{1, 2.5, 3}})
-	gotB, _ := json.Marshal(v)
+	gotB := v
 	if string(gotB) != string(want) {
 		t.Fatalf("taken-over build = %q, want %q", gotB, want)
 	}
@@ -207,7 +213,7 @@ func TestPeerFillStorelessReplica(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
 	key := ckpt.Key("replica", "fill")
-	if _, _, err := a.Do(context.Background(), key, newArtifact, buildArtifact("fill", nil)); err != nil {
+	if _, _, err := a.Do(context.Background(), key, "fill", buildArtifact("fill", nil)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -222,20 +228,19 @@ func TestPeerFillStorelessReplica(t *testing.T) {
 
 	b := testCoordinator(t, "", "r1", srv.URL)
 	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), key, newArtifact, buildArtifact("fill", &calls))
+	v, src, err := b.Do(context.Background(), key, "fill", buildArtifact("fill", &calls))
 	if err != nil || src != SourcePeer {
 		t.Fatalf("b.Do: src=%v err=%v", src, err)
 	}
 	if calls.Load() != 0 {
 		t.Fatal("peer fill still ran the build")
 	}
-	want, _ := a.ServeLocal(key)
-	got, ok := b.ServeLocal(key)
-	if !ok || string(got) != string(want) {
-		t.Fatalf("peer-filled payload %q != origin payload %q", got, want)
+	want, ok := a.ServeLocal(key)
+	if !ok || string(v) != string(want) {
+		t.Fatalf("peer-filled payload %q != origin payload %q", v, want)
 	}
-	if v.(*artifact).Name != "fill" {
-		t.Fatalf("value = %+v", v)
+	if decode(t, v).Name != "fill" {
+		t.Fatalf("value = %s", v)
 	}
 }
 
@@ -248,7 +253,7 @@ func TestPeerDefinitiveMissBuildsImmediately(t *testing.T) {
 	defer srv.Close()
 	b := testCoordinator(t, "", "r1", srv.URL)
 	var calls atomic.Int64
-	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "miss"), newArtifact, buildArtifact("miss", &calls))
+	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "miss"), "miss", buildArtifact("miss", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
@@ -270,7 +275,7 @@ func TestPeerTransientErrorsRetryThenBuild(t *testing.T) {
 	defer srv.Close()
 	b := testCoordinator(t, "", "r1", srv.URL)
 	var calls atomic.Int64
-	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "flaky"), newArtifact, buildArtifact("flaky", &calls))
+	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "flaky"), "flaky", buildArtifact("flaky", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
@@ -287,12 +292,12 @@ func TestUnreachablePeerDegradesToLocalBuild(t *testing.T) {
 	// then built locally. The request must still succeed.
 	b := testCoordinator(t, "", "r1", "127.0.0.1:1")
 	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), ckpt.Key("replica", "refused"), newArtifact, buildArtifact("refused", &calls))
+	v, src, err := b.Do(context.Background(), ckpt.Key("replica", "refused"), "refused", buildArtifact("refused", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
-	if v.(*artifact).Name != "refused" || calls.Load() != 1 {
-		t.Fatalf("v=%+v calls=%d", v, calls.Load())
+	if decode(t, v).Name != "refused" || calls.Load() != 1 {
+		t.Fatalf("v=%s calls=%d", v, calls.Load())
 	}
 }
 
@@ -302,19 +307,21 @@ func TestUnwritableStoreDegradesButServes(t *testing.T) {
 	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteCkptWrite, Kind: fault.Error}))()
 
 	key := ckpt.Key("replica", "readonly")
-	v, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil))
+	v, src, err := a.Do(context.Background(), key, "readonly", buildArtifact("readonly", nil))
 	if err != nil || src != SourceBuild {
 		t.Fatalf("Do under ckpt.write fault: src=%v err=%v", src, err)
 	}
-	if v.(*artifact).Name != "readonly" {
-		t.Fatalf("v = %+v", v)
+	if decode(t, v).Name != "readonly" {
+		t.Fatalf("v = %s", v)
 	}
 	deg := a.Degraded()
 	if len(deg) != 1 || deg[0][:6] != "store:" {
 		t.Fatalf("Degraded() = %v, want one store reason", deg)
 	}
-	// The local tier still serves the artifact.
-	if _, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil)); err != nil || src != SourceLocal {
+	// Nothing reached the store, so a repeat builds again and still
+	// succeeds. (The daemon's in-process tier serves repeats without
+	// reaching the coordinator: TestHealthzDegradedStillOK.)
+	if _, src, err := a.Do(context.Background(), key, "readonly", buildArtifact("readonly", nil)); err != nil || src != SourceBuild {
 		t.Fatalf("second Do: src=%v err=%v", src, err)
 	}
 }
@@ -325,7 +332,7 @@ func TestLeaseInfraDownDegradesToUncoordinatedBuild(t *testing.T) {
 	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Kind: fault.Error}))()
 
 	var calls atomic.Int64
-	_, src, err := a.Do(context.Background(), ckpt.Key("replica", "noleases"), newArtifact, buildArtifact("noleases", &calls))
+	_, src, err := a.Do(context.Background(), ckpt.Key("replica", "noleases"), "noleases", buildArtifact("noleases", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
@@ -339,14 +346,14 @@ func TestDegradationClearsOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
 	off := fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Hit: 1, Kind: fault.Error}))
-	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip1"), newArtifact, buildArtifact("dip1", nil)); src != SourceBuildUnleased {
+	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip1"), "dip1", buildArtifact("dip1", nil)); src != SourceBuildUnleased {
 		t.Fatalf("faulted Do src = %v", src)
 	}
 	off()
 	if len(a.Degraded()) != 1 {
 		t.Fatalf("Degraded() = %v, want the lease dip recorded", a.Degraded())
 	}
-	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip2"), newArtifact, buildArtifact("dip2", nil)); src != SourceBuild {
+	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip2"), "dip2", buildArtifact("dip2", nil)); src != SourceBuild {
 		t.Fatalf("recovered Do src = %v", src)
 	}
 	if deg := a.Degraded(); len(deg) != 0 {
@@ -396,56 +403,62 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 
 	var effective atomic.Int64
 	var wg sync.WaitGroup
-	var killOnce sync.Once
 	results := make(map[string][]string) // key -> payloads observed
 	var rmu sync.Mutex
+	do := func(key string, r int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			if key == victim && r == 0 {
+				ctx = actx // the doomed leader's request dies with it
+			}
+			v, _, err := reps[r].Do(ctx, key, key[:8], buildFor(key, &effective))
+			if err != nil {
+				if key == victim {
+					return // the killed leader's own request may fail
+				}
+				t.Errorf("Do(%s) on r%d: %v", key[:8], r, err)
+				return
+			}
+			rmu.Lock()
+			results[key] = append(results[key], string(v))
+			rmu.Unlock()
+		}()
+	}
 	for _, key := range keys {
-		for r := range reps {
-			wg.Add(1)
-			go func(key string, r int) {
-				defer wg.Done()
-				ctx := context.Background()
-				if key == victim && r == 0 {
-					ctx = actx // the doomed leader's request dies with it
-				}
-				v, _, err := reps[r].Do(ctx, key, newArtifact, buildFor(key, &effective))
-				if err != nil {
-					if key == victim {
-						return // the killed leader's own request may fail
-					}
-					t.Errorf("Do(%s) on r%d: %v", key[:8], r, err)
-					return
-				}
-				b, _ := json.Marshal(v)
-				rmu.Lock()
-				results[key] = append(results[key], string(b))
-				rmu.Unlock()
-			}(key, r)
+		if key != victim {
+			for r := range reps {
+				do(key, r)
+			}
+			continue
 		}
-		if key == victim {
-			// Wait for the doomed leader to claim the key, then reap it
-			// only after its stale lease has been taken over — a killed
-			// process never runs its release path, so cancelling earlier
-			// would let the deferred release fire while the lease is
-			// still owned, which is a graceful shutdown, not a kill.
-			<-building
-			killOnce.Do(func() {
-				go func() {
-					deadline := time.Now().Add(5 * time.Second)
-					for time.Now().Before(deadline) {
-						var n int64
-						for _, r := range reps {
-							n += counter(r, "replica.lease.takeover")
-						}
-						if n >= 1 {
-							break
-						}
-						time.Sleep(5 * time.Millisecond)
-					}
-					kill()
-				}()
-			})
+		// r0 must be the victim's doomed leader: start it alone and let
+		// it claim the key before its siblings ask.
+		do(key, 0)
+		<-building
+		for r := 1; r < len(reps); r++ {
+			do(key, r)
 		}
+		// Reap the doomed leader only after its stale lease has been
+		// taken over — a killed process never runs its release path, so
+		// cancelling earlier would let the deferred release fire while
+		// the lease is still owned, which is a graceful shutdown, not a
+		// kill.
+		go func() {
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				var n int64
+				for _, r := range reps {
+					n += counter(r, "replica.lease.takeover")
+				}
+				if n >= 1 {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			kill()
+		}()
 	}
 	wg.Wait()
 
@@ -491,22 +504,5 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 				t.Fatalf("r%d.ServeLocal(%s): ok=%v got=%q want=%q", i, key[:8], ok, got, want)
 			}
 		}
-	}
-}
-
-func TestByteLRUEvictsOldest(t *testing.T) {
-	l := newByteLRU(2)
-	l.put("a", []byte("1"))
-	l.put("b", []byte("2"))
-	l.get("a") // refresh a; b is now the eviction candidate
-	l.put("c", []byte("3"))
-	if _, ok := l.get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := l.get("a"); !ok {
-		t.Fatal("a was evicted despite being fresh")
-	}
-	if l.len() != 2 {
-		t.Fatalf("len = %d, want 2", l.len())
 	}
 }

@@ -29,6 +29,12 @@ type lru[V any] struct {
 
 	live    *obs.Gauge
 	evicted *obs.Counter
+
+	// onEvict, when set, is called with each value dropped over the
+	// cap. It runs under the LRU's lock so that a key re-created right
+	// after its eviction cannot see its new state torn down by the
+	// callback; it must not call back into the LRU.
+	onEvict func(V)
 }
 
 // lruItem is one cached value keyed by its canonical string.
@@ -67,13 +73,7 @@ func (l *lru[V]) getOrCreate(key string, mk func() V) (v V, hit bool) {
 	}
 	v = mk()
 	l.m[key] = l.ll.PushFront(&lruItem[V]{key: key, v: v})
-	for l.ll.Len() > l.cap {
-		back := l.ll.Back()
-		l.ll.Remove(back)
-		delete(l.m, back.Value.(*lruItem[V]).key)
-		l.evicted.Add(1)
-	}
-	l.live.Set(float64(l.ll.Len()))
+	l.trim()
 	return v, false
 }
 
@@ -101,11 +101,21 @@ func (l *lru[V]) put(key string, v V) {
 		return
 	}
 	l.m[key] = l.ll.PushFront(&lruItem[V]{key: key, v: v})
+	l.trim()
+}
+
+// trim evicts least-recently-used values past the cap. The caller
+// holds the lock.
+func (l *lru[V]) trim() {
 	for l.ll.Len() > l.cap {
 		back := l.ll.Back()
 		l.ll.Remove(back)
-		delete(l.m, back.Value.(*lruItem[V]).key)
+		it := back.Value.(*lruItem[V])
+		delete(l.m, it.key)
 		l.evicted.Add(1)
+		if l.onEvict != nil {
+			l.onEvict(it.v)
+		}
 	}
 	l.live.Set(float64(l.ll.Len()))
 }

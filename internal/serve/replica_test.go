@@ -100,8 +100,9 @@ func TestCacheFillEndpoint(t *testing.T) {
 	}
 }
 
-// TestCacheFillWithoutReplicaMode: a single-replica daemon has no
-// coordinator; the endpoint must answer 404, not panic.
+// TestCacheFillWithoutReplicaMode: a daemon started without a replica
+// coordinator (it makes its own, with no store) answers a fill for a
+// key it does not hold with 404.
 func TestCacheFillWithoutReplicaMode(t *testing.T) {
 	st := &stubState{}
 	srv := New(Config{Base: tinyConfig(), Experiments: []core.Experiment{stubExperiment("stub1", st)}})
@@ -166,6 +167,10 @@ func TestHealthzDegradedStillOK(t *testing.T) {
 	defer fault.Enable(fault.NewPlan(fault.Rule{Site: replica.SiteCkptWrite, Kind: fault.Error}))()
 	if code, _ := get(t, client, ts.URL+"/v1/artifacts/stub1"); code != 200 {
 		t.Fatalf("degraded build: status %d", code)
+	}
+	// Nothing reached the store; the artifact tier serves the repeat.
+	if code, _ := get(t, client, ts.URL+"/v1/artifacts/stub1"); code != 200 || st.runs.Load() != 1 {
+		t.Fatalf("degraded repeat: status %d after %d runs, want 200 after 1", code, st.runs.Load())
 	}
 	code, body = get(t, client, ts.URL+"/healthz")
 	if code != 200 {

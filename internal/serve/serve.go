@@ -5,20 +5,23 @@
 //
 // The request path is: drain check → admission gate (bounded
 // concurrency + bounded queue, 429 beyond) → per-scenario context
-// lookup (LRU with a hard cap, keyed by the canonical config) →
+// lookup (LRU with a hard cap, keyed by the canonical config) → the
+// artifact tier of immutable bytes (artifact.go) → on a miss, the
 // singleflight coalescer (N concurrent requests for a cold artifact
-// run core.RunOne exactly once, observable as a single
-// core.cell.*.miss) → deterministic render. Builds run under the
-// server's lifetime context, so a disconnecting client never aborts a
-// build other requests are waiting on; checkpoint stores created by
-// cmd/repro -checkpoint-dir warm-start the daemon, because RunOne
-// shares core.CheckpointKey with the batch runner.
+// share one build, observable as a single core.cell.*.miss) → the
+// replica coordinator, the one cold path: shared checkpoint store,
+// lease, peer fill, core.RunOne. A daemon without -replica-id is that
+// coordinator with zero peers. Builds run under the server's lifetime
+// context, so a disconnecting client never aborts a build other
+// requests are waiting on; checkpoint stores created by cmd/repro
+// -checkpoint-dir warm-start the daemon, because the coordinator keys
+// them by core.CheckpointKey like the batch runner.
 //
 // Determinism contract: for the same config, the bytes served here are
-// byte-identical to the artifacts cmd/repro writes — CSV via the same
-// report.Table encoder, .dat via the same report.Series encoder,
-// markdown via the same core.WriteMarkdownReport — enforced by
-// TestServedBytesIdentical.
+// byte-identical to the artifacts cmd/repro writes — JSON is the
+// checkpoint payload, CSV via the same report.Table encoder, .dat via
+// the same report.Series encoder, markdown via the same core
+// renderers — enforced by TestServedBytesIdentical.
 //
 // The daemon also serves live host-load predictions at GET /v1/predict
 // (see predict.go), reusing the same gate, singleflight coalescing and
@@ -38,7 +41,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,12 +82,11 @@ type Config struct {
 	// re-simulating. Keys are shared with cmd/repro -checkpoint-dir.
 	Store *ckpt.Store
 
-	// Replica, when set, routes every artifact build through the
-	// cross-replica coordinator: two-tier cache lookup, lease-based
-	// distributed singleflight, peer cache fill. The coordinator owns
-	// all checkpoint I/O on this path (builds run with a nil store), so
-	// Store should be the same store the coordinator wraps. nil keeps
-	// the single-replica behavior exactly.
+	// Replica is the coordinator every artifact build goes through:
+	// shared-store lookup, lease-based distributed singleflight, peer
+	// cache fill. It owns all checkpoint I/O, so Store should be the
+	// store it wraps. nil makes a single-replica coordinator over Store
+	// with zero peers and a process-unique lease owner ID.
 	Replica *replica.Coordinator
 
 	// Rec receives cell/build/experiment instrumentation from every
@@ -138,6 +139,7 @@ type Server struct {
 	replica      *replica.Coordinator
 	gate         *Gate
 	lru          *lru[*entry]
+	tier         artifactTier
 	buildTimeout time.Duration
 
 	predictSF    group
@@ -158,26 +160,22 @@ type Server struct {
 
 	reqTotal    *obs.Counter
 	reqInflight *obs.Gauge
-	reqLatency  *obs.Histogram
 	coShared    *obs.Counter
 	artifactHit *obs.Counter
 	predictHit  *obs.Counter
 }
 
 // entry is one cached scenario: the shared core.Context whose lazy
-// cells memoize the heavy artifacts, a singleflight group coalescing
-// concurrent builds per experiment, and the finished results.
+// cells memoize the heavy intermediates, and a singleflight group
+// coalescing concurrent builds per experiment. Its finished artifacts
+// live in the server's artifact tier.
 type entry struct {
 	cfg  core.Config
 	cctx *core.Context
 	sf   group
 
-	mu      sync.RWMutex
-	results map[string]*core.Result
+	evicted bool // guarded by the artifact tier's lock
 }
-
-// reqLatencyUppers buckets whole-request wall time (seconds).
-var reqLatencyUppers = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 300}
 
 // New assembles a server from cfg.
 func New(cfg Config) *Server {
@@ -198,15 +196,20 @@ func New(cfg Config) *Server {
 	if maxContexts <= 0 {
 		maxContexts = defaultMaxContexts
 	}
+	coord := cfg.Replica
+	if coord == nil {
+		coord = replica.New(replica.Config{Store: cfg.Store, Rec: rec})
+	}
 	s := &Server{
 		base:         cfg.Base,
 		baseCtx:      baseCtx,
 		rec:          rec,
 		reg:          reg,
 		store:        cfg.Store,
-		replica:      cfg.Replica,
+		replica:      coord,
 		gate:         NewGate(cfg.MaxInflight, maxQueue, reg),
 		lru:          newLRU[*entry](maxContexts, reg, "serve.ctx"),
+		tier:         artifactTier{m: make(map[string]*artifact)},
 		predictCache: newLRU[*predict.ScenarioReport](maxContexts, reg, "serve.predict.ctx"),
 		buildTimeout: cfg.BuildTimeout,
 		exps:         make(map[string]core.Experiment),
@@ -215,7 +218,6 @@ func New(cfg Config) *Server {
 		accessLog:    newAccessLogger(cfg.AccessLog, cfg.AccessLogSample),
 		reqTotal:     reg.Counter("serve.req.total"),
 		reqInflight:  reg.Gauge("serve.req.inflight"),
-		reqLatency:   reg.Histogram("serve.req.latency_seconds", reqLatencyUppers),
 		coShared:     reg.Counter("serve.coalesce.shared"),
 		artifactHit:  reg.Counter("serve.artifact.hit"),
 		predictHit:   reg.Counter("serve.predict.hit"),
@@ -231,6 +233,7 @@ func New(cfg Config) *Server {
 	for _, e := range s.allList {
 		s.exps[e.ID] = e
 	}
+	s.lru.onEvict = s.evict
 
 	// Per-endpoint latency quantiles are computed at scrape time from
 	// the live sketches; the registry pulls them via this hook.
@@ -252,8 +255,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/report", s.handleReport)
 	s.mux.HandleFunc("GET /v1/artifacts/{id}", s.handleArtifact)
-	s.mux.HandleFunc("GET /v1/artifacts/{id}/tables/{table}", s.handleTable)
-	s.mux.HandleFunc("GET /v1/artifacts/{id}/series/{series}", s.handleSeries)
+	s.mux.HandleFunc("GET /v1/artifacts/{id}/tables/{table}", s.handleArtifact)
+	s.mux.HandleFunc("GET /v1/artifacts/{id}/series/{series}", s.handleArtifact)
 	s.mux.HandleFunc("GET /v1/predict", s.handlePredict)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheFill)
 	return s
@@ -297,7 +300,6 @@ func (s *Server) Handler() http.Handler {
 		defer func() {
 			dur := time.Since(start)
 			s.reqInflight.Add(-1)
-			s.reqLatency.Observe(dur.Seconds())
 			s.latSketch.observe(endpoint, dur)
 			sp.End()
 			if sw.status == 0 {
@@ -351,7 +353,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Prewarm(ctx context.Context) (int, error) {
 	e := s.entryFor(ctx, s.base)
 	for i, exp := range s.allList {
-		if _, err := s.result(ctx, e, exp); err != nil {
+		if _, err := s.artifactFor(ctx, e, exp); err != nil {
 			return i, err
 		}
 	}
@@ -365,7 +367,7 @@ func (s *Server) entryFor(ctx context.Context, cfg core.Config) *entry {
 	e, hit := s.lru.getOrCreate(cfg.Canonical(), func() *entry {
 		c := core.NewContext(cfg)
 		c.SetRecorder(s.rec)
-		return &entry{cfg: cfg, cctx: c, results: make(map[string]*core.Result)}
+		return &entry{cfg: cfg, cctx: c}
 	})
 	if hit {
 		obs.ReqInfoFrom(ctx).MarkCtxCached()
@@ -373,24 +375,31 @@ func (s *Server) entryFor(ctx context.Context, cfg core.Config) *entry {
 	return e
 }
 
-// result returns exp's artifact for the entry's scenario, serving the
-// memoized result when warm and otherwise coalescing all concurrent
-// cold requests into one core.RunOne under the server's lifetime
-// context. ctx is the requester's wait budget only.
+// evict drops an evicted scenario's artifacts from the tier.
+func (s *Server) evict(e *entry) {
+	keys := make([]string, len(s.allList))
+	for i, exp := range s.allList {
+		keys[i] = core.CheckpointKey(e.cfg, exp.ID)
+	}
+	s.tier.drop(e, keys)
+}
+
+// artifactFor returns exp's artifact for the entry's scenario: from the
+// artifact tier when warm, otherwise coalescing all concurrent cold
+// requests into one build under the server's lifetime context. ctx is
+// the requester's wait budget only.
 //
-// Tracing: a traced request wraps the whole thing in a
-// coalesce:<expID> span. If this caller becomes the build leader, the
-// build context — the server's lifetime context, never the request's —
-// adopts that span, so the exp:/build:/ckpt: spans below RunOne join
-// this request's trace. If it joins another request's in-flight build
-// instead, its span records a link to the leader's span.
-func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*core.Result, error) {
-	e.mu.RLock()
-	r, ok := e.results[exp.ID]
-	e.mu.RUnlock()
-	if ok {
+// Tracing: a traced request wraps the cold path in a coalesce:<expID>
+// span. If this caller becomes the build leader, the build context —
+// the server's lifetime context, never the request's — adopts that
+// span, so the ckpt:/exp:/build: spans below it join this request's
+// trace. If it joins another request's in-flight build instead, its
+// span records a link to the leader's span.
+func (s *Server) artifactFor(ctx context.Context, e *entry, exp core.Experiment) (*artifact, error) {
+	key := core.CheckpointKey(e.cfg, exp.ID)
+	if a, ok := s.tier.get(key); ok {
 		s.artifactHit.Add(1)
-		return r, nil
+		return a, nil
 	}
 	ri := obs.ReqInfoFrom(ctx)
 	var csp *obs.Span
@@ -400,22 +409,23 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*co
 	}
 	mySC := csp.Context()
 	v, shared, leaderSC, err := e.sf.DoLinked(ctx, exp.ID, mySC, func() (any, error) {
+		if a, ok := s.tier.get(key); ok {
+			return a, nil // a flight that finished after the lookup above
+		}
 		ri.MarkLeader()
 		buildCtx := s.baseCtx
 		if mySC.Valid() {
-			buildCtx = obs.ContextWithSpan(buildCtx, mySC)
+			// One Chrome lane for the whole build side of this request:
+			// the context crossed the coalescer's goroutine boundary, so
+			// it has a span identity but no lane yet.
+			buildCtx = s.rec.PinLane(obs.ContextWithSpan(buildCtx, mySC))
 		}
-		if ri != nil {
-			buildCtx = obs.ContextWithReqInfo(buildCtx, ri)
-		}
-		res, err := s.runArtifact(buildCtx, e, exp)
+		a, err := s.build(buildCtx, e, exp, key, ri)
 		if err != nil {
 			return nil, err
 		}
-		e.mu.Lock()
-		e.results[exp.ID] = res
-		e.mu.Unlock()
-		return res, nil
+		s.tier.put(e, key, a)
+		return a, nil
 	})
 	if shared {
 		s.coShared.Add(1)
@@ -427,36 +437,29 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*co
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.Result), nil
+	return v.(*artifact), nil
 }
 
-// runArtifact produces one artifact under the in-process singleflight
-// leader. Single-replica mode is core.RunOne against the local store.
-// With a coordinator, the build instead goes through the fleet-wide
-// path — local tier, shared store, peer cache fill, lease-guarded build
-// — and the coordinator owns all store I/O, so RunOne gets a nil store:
-// exactly one layer writes checkpoints.
-func (s *Server) runArtifact(ctx context.Context, e *entry, exp core.Experiment) (*core.Result, error) {
-	if s.replica == nil {
-		return core.RunOne(ctx, e.cctx, exp, s.buildTimeout, s.store)
-	}
-	key := core.CheckpointKey(e.cfg, exp.ID)
-	v, src, err := s.replica.Do(ctx, key,
-		func() any { return new(core.Result) },
-		func(bctx context.Context) (any, error) {
-			return core.RunOne(bctx, e.cctx, exp, s.buildTimeout, nil)
-		})
+// build produces one artifact through the coordinator — shared store,
+// lease, peer fill, core.RunOne — and notes on the request's
+// annotation bag whether a checkpoint tier answered. A daemon with
+// neither a store nor peers has no checkpoint tier, so its builds set
+// neither flag.
+func (s *Server) build(ctx context.Context, e *entry, exp core.Experiment, key string, ri *obs.ReqInfo) (*artifact, error) {
+	payload, src, err := s.replica.Do(ctx, key, exp.ID, func(bctx context.Context) (any, error) {
+		return core.RunOne(bctx, e.cctx, exp, s.buildTimeout)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ri := obs.ReqInfoFrom(ctx)
-	switch src {
-	case replica.SourceBuild, replica.SourceBuildUnleased:
-		ri.MarkCkptMiss()
-	default:
-		ri.MarkCkptHit()
+	if s.store.Enabled() || len(s.replica.Peers()) > 0 {
+		if src == replica.SourceStore || src == replica.SourcePeer {
+			ri.MarkCkptHit()
+		} else {
+			ri.MarkCkptMiss()
+		}
 	}
-	return v.(*core.Result), nil
+	return &artifact{payload: payload}, nil
 }
 
 // configFor derives the request's scenario from the base config and
@@ -536,7 +539,8 @@ type healthStatus struct {
 	Contexts      int     `json:"contexts"`
 	Checkpoints   int     `json:"checkpoints"`
 
-	// Multi-replica fields, present only when a coordinator is wired.
+	// The coordinator's view: its lease owner ID, sibling count and
+	// active degradations.
 	Replica  string   `json:"replica,omitempty"`
 	Peers    int      `json:"peers,omitempty"`
 	Degraded []string `json:"degraded,omitempty"`
@@ -555,32 +559,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Experiments:   len(s.allList),
 		Contexts:      s.lru.len(),
 		Checkpoints:   len(keys),
+		Replica:       s.replica.ID(),
+		Peers:         len(s.replica.Peers()),
+		Degraded:      s.replica.Degraded(),
 	}
-	if s.replica != nil {
-		hs.Replica = s.replica.ID()
-		hs.Peers = len(s.replica.Peers())
-		hs.Degraded = s.replica.Degraded()
-		if len(hs.Degraded) > 0 {
-			hs.Status = "degraded"
-		}
+	if len(hs.Degraded) > 0 {
+		hs.Status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, hs)
 }
 
 // handleCacheFill serves GET /v1/cache/{key}: the raw checkpoint
 // payload for a content-addressed key, for sibling replicas filling
-// their caches. It answers only from this replica's own tiers — never
-// by building, never by asking peers — so fills cannot cascade. The
-// endpoint is drain-exempt: a terminating replica's warm cache is
-// exactly what its siblings want to copy out before it goes.
+// their caches. It answers only from this replica's own tiers — the
+// artifact tier, then the store — never by building, never by asking
+// peers, so fills cannot cascade. The endpoint is drain-exempt: a
+// terminating replica's warm cache is exactly what its siblings want
+// to copy out before it goes.
 func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
-	if s.replica == nil {
-		writeError(w, http.StatusNotFound, "not running in multi-replica mode")
-		return
-	}
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
 		writeError(w, http.StatusBadRequest, "key: want a 64-char lowercase hex content address")
+		return
+	}
+	if a, ok := s.tier.get(key); ok {
+		writeBytes(w, "application/json", a.payload)
 		return
 	}
 	payload, ok := s.replica.ServeLocal(key)
@@ -644,113 +647,74 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
+// handleArtifact serves every per-artifact route: the JSON body (the
+// checkpoint payload), ?format=md, a table's CSV and a series' .dat —
+// each the artifact tier's bytes for that variant.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.exps[r.PathValue("id")]
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format != "" && format != "json" && format != "md" {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("format: want json or md, got %q", format))
-		return
+	table, series := r.PathValue("table"), r.PathValue("series")
+	kind, variant := "json", "json"
+	switch {
+	case table != "":
+		kind, variant = "csv", "csv:"+table
+	case series != "":
+		kind, variant = "dat", "dat:"+series
+	default:
+		switch format := r.URL.Query().Get("format"); format {
+		case "", "json":
+		case "md":
+			kind, variant = "md", "md"
+		default:
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("format: want json or md, got %q", format))
+			return
+		}
 	}
 	cfg, err := s.configFor(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	variant := "json"
-	if format == "md" {
-		variant = "md"
 	}
 	if s.revalidate(w, r, artifactETag(cfg, exp.ID, variant)) {
 		return
 	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
+	if !s.admit(w, r) {
 		return
 	}
-	if format == "md" {
-		var buf bytes.Buffer
-		if err := core.WriteResultMarkdown(&buf, res); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/markdown; charset=utf-8", buf.Bytes())
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.exps[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
-		return
-	}
-	cfg, err := s.configFor(r.URL.Query())
+	a, err := s.artifactFor(r.Context(), s.entryFor(r.Context(), cfg), exp)
+	s.gate.Release()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.writeBuildError(w, err)
 		return
 	}
-	want := r.PathValue("table")
-	if s.revalidate(w, r, artifactETag(cfg, exp.ID, "csv:"+want)) {
-		return
+	body, err := a.body(variant)
+	switch {
+	case errors.Is(err, errNoVariant) && table != "":
+		writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no table %q", exp.ID, table))
+	case errors.Is(err, errNoVariant):
+		writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no series %q", exp.ID, series))
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err.Error())
+	default:
+		writeBytes(w, contentTypes[kind], body)
 	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
-		return
-	}
-	for _, tbl := range res.Tables {
-		if tbl.ID != want {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := tbl.WriteCSV(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/csv; charset=utf-8", buf.Bytes())
-		return
-	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no table %q", exp.ID, want))
 }
 
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.exps[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
-		return
-	}
-	cfg, err := s.configFor(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	want := r.PathValue("series")
-	if s.revalidate(w, r, artifactETag(cfg, exp.ID, "dat:"+want)) {
-		return
-	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
-		return
-	}
-	for _, ser := range res.Series {
-		if ser.ID != want {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := ser.WriteDAT(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/plain; charset=utf-8", buf.Bytes())
-		return
-	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no series %q", exp.ID, want))
+// contentTypes maps a variant kind onto its media type.
+var contentTypes = map[string]string{
+	"json": "application/json",
+	"md":   "text/markdown; charset=utf-8",
+	"csv":  "text/csv; charset=utf-8",
+	"dat":  "text/plain; charset=utf-8",
 }
 
+// handleReport assembles /v1/report from the per-artifact bodies:
+// markdown is the report header followed by each artifact's section,
+// JSON is the checkpoint payloads joined into an array — byte-equal to
+// json.Marshal of the result slice.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	format := q.Get("format")
@@ -779,44 +743,32 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release()
 	e := s.entryFor(r.Context(), cfg)
-	results := make([]*core.Result, len(exps))
+	var buf bytes.Buffer
+	if variant == "md" {
+		core.WriteReportHeader(&buf, cfg)
+	} else {
+		buf.WriteByte('[')
+	}
 	for i, exp := range exps {
-		res, err := s.result(r.Context(), e, exp)
+		a, err := s.artifactFor(r.Context(), e, exp)
 		if err != nil {
 			s.writeBuildError(w, err)
 			return
 		}
-		results[i] = res
+		if variant == "json" && i > 0 {
+			buf.WriteByte(',')
+		}
+		body, err := a.body(variant)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		buf.Write(body)
 	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, results)
-		return
+	if variant == "json" {
+		buf.WriteByte(']')
 	}
-	var buf bytes.Buffer
-	// nil timing on purpose: served reports match uninstrumented CLI
-	// reports byte for byte.
-	if err := core.WriteMarkdownReport(&buf, cfg, results, nil); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeBytes(w, "text/markdown; charset=utf-8", buf.Bytes())
-}
-
-// buildFor is the shared admission → coalesced-build prefix of every
-// artifact handler (the handler has already parsed cfg, which the ETag
-// derivation needed first). ok=false means the response has already
-// been written.
-func (s *Server) buildFor(w http.ResponseWriter, r *http.Request, cfg core.Config, exp core.Experiment) (*core.Result, bool) {
-	if !s.admit(w, r) {
-		return nil, false
-	}
-	defer s.gate.Release()
-	res, err := s.result(r.Context(), s.entryFor(r.Context(), cfg), exp)
-	if err != nil {
-		s.writeBuildError(w, err)
-		return nil, false
-	}
-	return res, true
+	writeBytes(w, contentTypes[variant], buf.Bytes())
 }
 
 // writeBuildError maps a build failure onto a status: deadline → 504,

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/replica"
 )
 
 // tinyConfig is a seconds-fast scenario: the byte-identity tests only
@@ -92,94 +92,181 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestServedBytesIdentical is the daemon's determinism contract: for
-// the same config, every body served over HTTP is byte-identical to
-// the artifact cmd/repro emits — JSON to the marshalled in-memory
-// result, markdown to the shared core renderer, CSV/.dat to the very
-// files report.SaveCSV/SaveDAT write.
-func TestServedBytesIdentical(t *testing.T) {
-	cfg := tinyConfig()
-	var exps []core.Experiment
-	for _, id := range []string{"fig2", "fig3", "table1"} {
-		e, err := core.Find(id)
+// servedBody is one expected response: a path and the bytes the CLI
+// side produces for it.
+type servedBody struct {
+	path string
+	want []byte
+}
+
+// cliBodies derives every servable body from CLI-side results: JSON as
+// the marshalled result, markdown via the shared core renderer, CSV and
+// .dat as the very files report.SaveCSV/SaveDAT write, and /v1/report
+// as markdown and JSON, with and without ?extensions=1.
+func cliBodies(t *testing.T, cfg core.Config, paper, ext []*core.Result) []servedBody {
+	t.Helper()
+	var out []servedBody
+	add := func(path string, want []byte, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps = append(exps, e)
+		out = append(out, servedBody{path, want})
 	}
-
-	// The CLI side: the same runner cmd/repro invokes, serially.
-	cliCtx := core.NewContext(cfg)
-	results, err := core.RunExperiments(context.Background(), cliCtx, exps, core.RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{Base: cfg, Experiments: exps})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
+	all := append(append([]*core.Result(nil), paper...), ext...)
 	outDir := t.TempDir()
-	for i, e := range exps {
-		want, err := json.Marshal(results[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, body := get(t, client, ts.URL+"/v1/artifacts/"+e.ID)
-		if code != http.StatusOK {
-			t.Fatalf("artifact %s: status %d: %s", e.ID, code, body)
-		}
-		if string(body) != string(want) {
-			t.Errorf("artifact %s: served JSON differs from CLI result marshal", e.ID)
-		}
-
-		var md strings.Builder
-		if err := core.WriteResultMarkdown(&md, results[i]); err != nil {
-			t.Fatal(err)
-		}
-		code, body = get(t, client, ts.URL+"/v1/artifacts/"+e.ID+"?format=md")
-		if code != http.StatusOK || string(body) != md.String() {
-			t.Errorf("artifact %s: served markdown differs from CLI renderer (status %d)", e.ID, code)
-		}
-
-		for _, tbl := range results[i].Tables {
+	for _, r := range all {
+		b, err := json.Marshal(r)
+		add("/v1/artifacts/"+r.ID, b, err)
+		var md bytes.Buffer
+		err = core.WriteResultMarkdown(&md, r)
+		add("/v1/artifacts/"+r.ID+"?format=md", md.Bytes(), err)
+		for _, tbl := range r.Tables {
 			path, err := tbl.SaveCSV(outDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fileBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			code, body := get(t, client, fmt.Sprintf("%s/v1/artifacts/%s/tables/%s", ts.URL, e.ID, tbl.ID))
-			if code != http.StatusOK || string(body) != string(fileBytes) {
-				t.Errorf("table %s/%s: served CSV differs from %s (status %d)", e.ID, tbl.ID, filepath.Base(path), code)
-			}
+			b, err := os.ReadFile(path)
+			add(fmt.Sprintf("/v1/artifacts/%s/tables/%s", r.ID, tbl.ID), b, err)
 		}
-		for _, ser := range results[i].Series {
+		for _, ser := range r.Series {
 			path, err := ser.SaveDAT(outDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fileBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			code, body := get(t, client, fmt.Sprintf("%s/v1/artifacts/%s/series/%s", ts.URL, e.ID, ser.ID))
-			if code != http.StatusOK || string(body) != string(fileBytes) {
-				t.Errorf("series %s/%s: served .dat differs from %s (status %d)", e.ID, ser.ID, filepath.Base(path), code)
-			}
+			b, err := os.ReadFile(path)
+			add(fmt.Sprintf("/v1/artifacts/%s/series/%s", r.ID, ser.ID), b, err)
 		}
 	}
+	for _, rep := range []struct {
+		query   string
+		results []*core.Result
+	}{{"", paper}, {"?extensions=1", all}} {
+		var md bytes.Buffer
+		err := core.WriteMarkdownReport(&md, cfg, rep.results, nil)
+		add("/v1/report"+rep.query, md.Bytes(), err)
+		sep := "?"
+		if rep.query != "" {
+			sep = "&"
+		}
+		b, err := json.Marshal(rep.results)
+		add("/v1/report"+rep.query+sep+"format=json", b, err)
+	}
+	return out
+}
 
-	var want strings.Builder
-	if err := core.WriteMarkdownReport(&want, cfg, results, nil); err != nil {
+// TestServedBytesIdentical is the daemon's determinism contract: for
+// the same config, every body served over HTTP — each artifact as JSON
+// and markdown, each table's CSV, each series' .dat, the report as
+// markdown and JSON with and without the extensions — is byte-identical
+// to what cmd/repro emits, whichever way the bytes reached the daemon:
+// built in this process, loaded from a checkpoint store the CLI warmed,
+// filled from a peer, or rebuilt after the scenario was evicted.
+func TestServedBytesIdentical(t *testing.T) {
+	// Seed 1, not tinyConfig's 7: this test builds the whole registry
+	// five times, and under seed 7 the ext-queueing grid simulation
+	// alone takes ~7 s per build (~0.7 s for the whole registry here).
+	cfg := tinyConfig()
+	cfg.Seed = 1
+
+	// The CLI side: the same runner cmd/repro invokes, serially, here
+	// also writing the checkpoints the "checkpoint" way serves from.
+	store, err := ckpt.NewStore(t.TempDir(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := get(t, client, ts.URL+"/v1/report")
-	if code != http.StatusOK || string(body) != want.String() {
-		t.Errorf("report: served markdown differs from CLI -markdown renderer (status %d)", code)
+	run := func(exps []core.Experiment) []*core.Result {
+		t.Helper()
+		res, err := core.RunExperiments(context.Background(), core.NewContext(cfg), exps, core.RunOptions{Workers: 1, Ckpt: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	paper, ext := run(core.Experiments()), run(core.Extensions())
+	bodies := cliBodies(t, cfg, paper, ext)
+	n := int64(len(paper) + len(ext))
+
+	// A warm daemon with no store: the peer the "peer" way fills from.
+	origin := New(Config{Base: cfg})
+	if _, err := origin.Prewarm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	originTS := httptest.NewServer(origin.Handler())
+	defer originTS.Close()
+
+	for _, way := range []struct {
+		name string
+		// boot returns a daemon and the counts of builds, store loads
+		// and peer fills the served bytes must have arrived through.
+		boot                 func(rec *obs.Recorder) *Server
+		builds, loads, fills int64
+	}{
+		{"built", func(rec *obs.Recorder) *Server {
+			return New(Config{Base: cfg, Rec: rec})
+		}, n, 0, 0},
+		{"checkpoint", func(rec *obs.Recorder) *Server {
+			return New(Config{Base: cfg, Rec: rec, Store: store})
+		}, 0, n, 0},
+		{"peer", func(rec *obs.Recorder) *Server {
+			coord := replica.New(replica.Config{ID: "filler", Peers: []string{originTS.URL}, Rec: rec})
+			return New(Config{Base: cfg, Rec: rec, Replica: coord})
+		}, 0, 0, n},
+		{"evicted", func(rec *obs.Recorder) *Server {
+			// One scenario slot: warm the base scenario, then evict it
+			// with another seed, so every body below is a rebuild.
+			s := New(Config{Base: cfg, Rec: rec, MaxContexts: 1})
+			if _, err := s.Prewarm(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			other := cfg
+			other.Seed++
+			s.entryFor(context.Background(), other)
+			return s
+		}, 2 * n, 0, 0},
+	} {
+		t.Run(way.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			s := way.boot(rec)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			// Four clients at once, each starting at a different body:
+			// concurrent first requests share one build and one render.
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := range bodies {
+						b := bodies[(i+c*len(bodies)/4)%len(bodies)]
+						resp, err := ts.Client().Get(ts.URL + b.path)
+						if err != nil {
+							t.Errorf("GET %s: %v", b.path, err)
+							return
+						}
+						body, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, b.want) {
+							t.Errorf("GET %s: status %d (%v), served bytes differ from the CLI's", b.path, resp.StatusCode, err)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			reg := rec.Registry()
+			for _, c := range []struct {
+				name string
+				want int64
+			}{
+				{"replica.build.done", way.builds},
+				{"replica.store.hit", way.loads},
+				{"replica.peer.fill", way.fills},
+			} {
+				if got := reg.Counter(c.name).Value(); got != c.want {
+					t.Errorf("%s = %d, want %d", c.name, got, c.want)
+				}
+			}
+		})
 	}
 }
 

@@ -20,6 +20,8 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/capacity"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -130,7 +132,7 @@ func RunAllExperiments(cfg ExperimentConfig) ([]*ExperimentResult, error) {
 // draws from splittable (seed, label) random streams, so no experiment
 // can observe how many neighbours run beside it.
 func RunAllExperimentsParallel(cfg ExperimentConfig, workers int) ([]*ExperimentResult, error) {
-	return core.RunAllParallel(core.NewContext(cfg), workers)
+	return core.RunExperiments(context.Background(), core.NewContext(cfg), core.Experiments(), core.RunOptions{Workers: workers})
 }
 
 // DefaultExperimentConfig is the full reproduction scale.
