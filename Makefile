@@ -13,7 +13,7 @@ BENCHTIME ?= 100ms
 BENCH_OUT ?= BENCH_pr7.json
 BENCH_BASE ?= $(shell ls BENCH_pr*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -t_ -k2.3 -n | tail -n1)
 
-.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check bench-json bench-diff chaos smoke-replicas
+.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check bench-json bench-diff chaos smoke-replicas paper-oracle
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ chaos:
 smoke-replicas:
 	./scripts/multi_replica_smoke.sh
 
+# End-to-end artifact oracle: perfbench's paper-batch workload diffs
+# every CLI artifact and report section against perfbench/golden/ and
+# ends with one JSON line. Fail unless that line says "correct":true,
+# so any simulator change that moves a byte is caught.
+paper-oracle:
+	@out=$$(bash perfbench/run.sh --workload paper-batch --seed 1 --seconds 1 --trace 0) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "paper-batch oracle: artifacts differ from perfbench/golden/"; exit 1; }
+
 # Fail if any file needs gofmt. Kept as its own target so both make
 # check and the CI workflow gate on the exact same command.
 fmt-check:
@@ -61,7 +70,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Full hygiene gate: formatting, vet, the race detector, the
-# instrumentation-never-changes-outputs invariant, and the chaos suite.
+# instrumentation-never-changes-outputs invariant, the chaos suite and
+# the end-to-end artifact oracle.
 # perfbench is a nested module, so the root ./... never compiles it:
 # vet and test it on its own so an API change cannot break the
 # benchmark unnoticed.
@@ -72,6 +82,7 @@ check: fmt-check chaos
 	$(GO) test -run 'TestInstrumentationByteIdentical|TestInstrumentationDoesNotChangeResults' \
 		./cmd/repro ./internal/core
 	$(GO) test -run 'TestReferencePlacementByteIdentical' ./internal/cluster
+	$(MAKE) paper-oracle
 	$(GO) test -run 'TestSketchMatchesExact|TestUsageSketchMatchesExactUsage' ./internal/stats ./internal/hostload
 	$(GO) test -run 'TestMetricsExposition|TestAccessLogWritten|TestMultiReplicaSmoke' ./cmd/reprod
 	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover' \

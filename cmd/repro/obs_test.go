@@ -105,6 +105,9 @@ func TestMetricsOutWellFormed(t *testing.T) {
 	for _, want := range []string{
 		"cluster.events_dispatched",
 		"cluster.machine_scans",
+		"cluster.place_failures",
+		"cluster.preempt_inspections",
+		"cluster.preempt_skipped",
 		"cluster.queue_depth",
 		"cluster.tasks_scheduled",
 		"core.cell.google_tasks.miss",

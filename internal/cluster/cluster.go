@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/fault"
@@ -374,11 +375,25 @@ type machineState struct {
 	running  []*runningTask // unordered; runIdx gives O(1) removal
 	cacheAff float64        // per-machine page-cache affinity (drives Fig 7d bimodality)
 	down     bool           // offline due to churn
+
+	// Per-priority tallies of ms.running: task count and summed CPU and
+	// memory requests. They let preemptFor reject, without walking the
+	// running list, a machine whose lower-priority work could never
+	// free enough room.
+	prioN    [trace.MaxPriority + 1]int32
+	prioCPU  [trace.MaxPriority + 1]float64
+	prioMem  [trace.MaxPriority + 1]float64
+	prioMask uint16 // bit p set iff prioN[p] > 0
 }
 
 func (ms *machineState) addRunning(rt *runningTask) {
 	rt.runIdx = int32(len(ms.running))
 	ms.running = append(ms.running, rt)
+	p := rt.task.Priority
+	ms.prioN[p]++
+	ms.prioMask |= 1 << p
+	ms.prioCPU[p] += rt.task.CPUReq
+	ms.prioMem[p] += rt.task.MemReq
 }
 
 // removeRunning swap-deletes rt. Storage order is irrelevant to the
@@ -391,6 +406,41 @@ func (ms *machineState) removeRunning(rt *runningTask) {
 	moved.runIdx = rt.runIdx
 	ms.running[last] = nil
 	ms.running = ms.running[:last]
+	p := rt.task.Priority
+	if ms.prioN[p]--; ms.prioN[p] == 0 {
+		// An empty bucket is exactly zero, so rounding error never
+		// outlives the tasks that caused it.
+		ms.prioCPU[p], ms.prioMem[p] = 0, 0
+		ms.prioMask &^= 1 << p
+	} else {
+		ms.prioCPU[p] -= rt.task.CPUReq
+		ms.prioMem[p] -= rt.task.MemReq
+	}
+}
+
+// preemptSlack is how far below a request the prefilter's estimate of
+// a machine's clearable capacity may fall before the machine is
+// skipped. The bucket sums differ from tryPreempt's own sum only by
+// float64 rounding: requests are at most 1, so each add or subtract
+// errs by at most ~1.1e-16, and even 1e6 operations on one bucket
+// between resets stay near 1e-10. A slack of 1e-9 therefore only ever
+// skips machines the exact check would also reject.
+const preemptSlack = 1e-9
+
+// mayClearFor reports whether evicting ms's work below priority prio
+// could possibly free cpu and mem; false means tryPreempt would fail.
+func (ms *machineState) mayClearFor(prio int, cpu, mem float64) bool {
+	lower := ms.prioMask & (1<<prio - 1)
+	if lower == 0 {
+		return false
+	}
+	freeCPU, freeMem := ms.freeCPU, ms.freeMem
+	for ; lower != 0; lower &= lower - 1 {
+		p := bits.TrailingZeros16(lower)
+		freeCPU += ms.prioCPU[p]
+		freeMem += ms.prioMem[p]
+	}
+	return freeCPU >= cpu-preemptSlack && freeMem >= mem-preemptSlack
 }
 
 // simMetrics caches the registry metrics the event loop touches.
@@ -399,16 +449,22 @@ func (ms *machineState) removeRunning(rt *runningTask) {
 type simMetrics struct {
 	events *obs.Counter // cluster.events_dispatched
 	// scans counts machines examined during placement: full-scan
-	// iterations on the reference/Random paths, index probes on the
-	// indexed path.
-	scans      *obs.Counter   // cluster.machine_scans
-	queueDepth *obs.Histogram // cluster.queue_depth, sampled per dispatched event
+	// iterations on the reference/Random paths, tree leaves whose
+	// feasibility was evaluated on the indexed path.
+	scans         *obs.Counter   // cluster.machine_scans
+	placeFailures *obs.Counter   // cluster.place_failures: place() found no machine
+	inspections   *obs.Counter   // cluster.preempt_inspections: running lists tryPreempt walked
+	skipped       *obs.Counter   // cluster.preempt_skipped: machines the prefilter rejected
+	queueDepth    *obs.Histogram // cluster.queue_depth, sampled per dispatched event
 }
 
 func newSimMetrics(reg *obs.Registry) simMetrics {
 	return simMetrics{
-		events: reg.Counter("cluster.events_dispatched"),
-		scans:  reg.Counter("cluster.machine_scans"),
+		events:        reg.Counter("cluster.events_dispatched"),
+		scans:         reg.Counter("cluster.machine_scans"),
+		placeFailures: reg.Counter("cluster.place_failures"),
+		inspections:   reg.Counter("cluster.preempt_inspections"),
+		skipped:       reg.Counter("cluster.preempt_skipped"),
 		queueDepth: reg.Histogram("cluster.queue_depth",
 			[]float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}),
 	}
@@ -696,13 +752,19 @@ func (sm *sim) scoreOf(ms *machineState) float64 {
 // and BestFit route through the capacity index unless
 // Config.ReferencePlacement pins the original linear scan.
 func (sm *sim) place(t *trace.Task) int {
-	if sm.cfg.Placement == Random {
-		return sm.placeRandom(t)
+	var mi int
+	switch {
+	case sm.cfg.Placement == Random:
+		mi = sm.placeRandom(t)
+	case sm.pidx == nil:
+		mi = sm.placeReference(t)
+	default:
+		mi = sm.placeIndexed(t)
 	}
-	if sm.pidx == nil {
-		return sm.placeReference(t)
+	if mi < 0 {
+		sm.met.placeFailures.Add(1)
 	}
-	return sm.placeIndexed(t)
+	return mi
 }
 
 func (sm *sim) placeRandom(t *trace.Task) int {
@@ -743,8 +805,13 @@ func (sm *sim) placeReference(t *trace.Task) int {
 // preemptFor tries to make room for a high-priority task by evicting
 // strictly-lower-priority tasks from one machine. Returns the machine
 // index, or -1 if no machine can be cleared. Machines are tried in
-// index order in both modes; the index merely skips capacity classes
-// below the task's constraint.
+// index order in both modes. The reference mode walks every machine;
+// the indexed mode skips capacity classes below the task's constraint
+// and machines mayClearFor rules out. preemptFor only runs after
+// place failed, so no eligible machine fits t without evictions and a
+// machine with no lower-priority work cannot be cleared. Both skips
+// therefore reject only machines whose tryPreempt capacity test
+// fails, and such a call evicts nothing, so skipping it is exact.
 func (sm *sim) preemptFor(now int64, t *trace.Task) int {
 	if sm.pidx == nil {
 		for i := range sm.machines {
@@ -754,12 +821,19 @@ func (sm *sim) preemptFor(now int64, t *trace.Task) int {
 		}
 		return -1
 	}
+	found, skipped := -1, 0
 	for _, i := range sm.pidx.eligible(t.MinCPUClass) {
+		if !sm.machines[i].mayClearFor(t.Priority, t.CPUReq, t.MemReq) {
+			skipped++
+			continue
+		}
 		if sm.tryPreempt(now, t, int(i)) {
-			return int(i)
+			found = int(i)
+			break
 		}
 	}
-	return -1
+	sm.met.skipped.Add(int64(skipped))
+	return found
 }
 
 // tryPreempt clears machine i for t if evicting its strictly-lower-
@@ -772,6 +846,7 @@ func (sm *sim) tryPreempt(now int64, t *trace.Task, i int) bool {
 	if ms.down || ms.m.CPU < t.MinCPUClass {
 		return false
 	}
+	sm.met.inspections.Add(1)
 	var cpuGain, memGain float64
 	victims := sm.victims[:0]
 	for _, rt := range ms.running {

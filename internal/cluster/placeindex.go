@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/trace"
@@ -8,105 +9,56 @@ import (
 
 // placeIndex accelerates placement over a fixed machine park so that
 // scheduling is sublinear in the machine count. It keeps one
-// lazily-deleted max-heap of (score, machine) entries per CPU
-// capacity class:
+// max-summary tree per CPU capacity class:
 //
-//   - Entries carry the machine's version at push time; any mutation
-//     of a machine's free capacity or up/down state bumps the version
-//     (idxUpdate), turning older entries stale. Stale entries are
-//     discarded when popped, so no O(heap) deletion ever happens.
-//   - Every up machine has exactly one fresh entry, pushed with the
-//     exact score scoreOf computes — the same float64 expression the
-//     reference scan evaluates, so the argmax is bit-identical.
-//   - The heap orders by (score desc, machine index asc), which is
-//     precisely the reference scan's "first machine with the maximal
-//     score" tie-break.
-//   - A class heap is compacted once it exceeds a deterministic
-//     multiple of the class size, so the rebuild schedule depends only
-//     on the event sequence, never on wall-clock or memory pressure.
+//   - The tree is a flat, 1-based segment tree over the class's
+//     members (ascending machine index). Each node holds the maximum
+//     placement score, free CPU and free memory of the up machines
+//     below it; down machines and the padding leaves are -Inf in all
+//     three, so they can never look feasible.
+//   - A leaf's score is exactly what scoreOf computes — the same
+//     float64 expression the reference scan evaluates — so the argmax
+//     is bit-identical.
+//   - idxUpdate rewrites one leaf and its ancestors, stopping as soon
+//     as an ancestor's summary is unchanged.
+//   - pclass.best is a branch-and-bound descent: a subtree is skipped
+//     when its max free CPU or memory is below the request (nothing in
+//     it fits) or its max score cannot beat the best machine found so
+//     far. Equal scores break to the lowest machine index, which is
+//     the reference scan's first-maximum choice.
 //
-// Random placement bypasses the scored heaps entirely (it must
-// consume the RNG exactly like the reference path) but still uses the
-// per-class eligibility lists to skip machines below a task's
-// MinCPUClass constraint during preemption.
+// Random placement bypasses the trees entirely (it must consume the
+// RNG exactly like the reference path) but still uses the per-class
+// eligibility lists to skip machines below a task's MinCPUClass
+// constraint during preemption.
 type placeIndex struct {
 	caps    []float64 // distinct machine CPU capacities, ascending
 	classes []pclass  // one per capacity, same order as caps
 	classOf []int32   // machine index -> class index
-	ver     []uint32  // machine index -> current entry version
-	scratch []pentry  // reused pop stash for classBest
+	leafOf  []int32   // machine index -> leaf node in its class tree
 }
 
 type pclass struct {
 	members  []int32 // machine indices in this class, ascending
 	eligible []int32 // machines with capacity >= this class's, ascending
-	heap     []pentry
+	// tree[1] is the root; the leaves are tree[width:width+len(members)],
+	// where width is len(members) rounded up to a power of two.
+	tree  []pnode
+	width int32
 }
 
-// pentry is one heap entry: a machine's placement score at version
-// ver. 16 bytes, kept small on purpose — compaction and sift costs
-// are dominated by moving these.
-type pentry struct {
-	score float64
-	idx   int32
-	ver   uint32
+// pnode is one tree node's summary over the up machines below it.
+type pnode struct {
+	score, cpu, mem float64
 }
 
-// entryBefore orders the class heaps: best score first, ties to the
-// lowest machine index (the reference scan's strict-> semantics).
-func entryBefore(a, b pentry) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.idx < b.idx
-}
+var emptyNode = pnode{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 
-func heapPushEntry(h *[]pentry, e pentry) {
-	*h = append(*h, e)
-	hs := *h
-	i := len(hs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entryBefore(hs[i], hs[p]) {
-			break
-		}
-		hs[i], hs[p] = hs[p], hs[i]
-		i = p
-	}
-}
-
-func heapPopEntry(h *[]pentry) pentry {
-	hs := *h
-	top := hs[0]
-	n := len(hs) - 1
-	hs[0] = hs[n]
-	*h = hs[:n]
-	hs = hs[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && entryBefore(hs[r], hs[l]) {
-			best = r
-		}
-		if !entryBefore(hs[best], hs[i]) {
-			break
-		}
-		hs[i], hs[best] = hs[best], hs[i]
-		i = best
-	}
-	return top
-}
-
-// newPlaceIndex builds the index for the sim's machine park. All
-// machines start up with full capacity, so every machine gets one
-// fresh entry at version 0.
+// newPlaceIndex builds the index for the sim's machine park from the
+// machines' current state.
 func newPlaceIndex(sm *sim) *placeIndex {
 	n := len(sm.machines)
-	p := &placeIndex{classOf: make([]int32, n), ver: make([]uint32, n)}
+	p := &placeIndex{classOf: make([]int32, n), leafOf: make([]int32, n)}
 	for _, ms := range sm.machines {
 		if !slices.Contains(p.caps, ms.m.CPU) {
 			p.caps = append(p.caps, ms.m.CPU)
@@ -128,9 +80,24 @@ func newPlaceIndex(sm *sim) *placeIndex {
 		}
 		p.classes[ci].eligible = mergeAscending(p.classes[ci].members, p.classes[ci+1].eligible)
 	}
-	for i, ms := range sm.machines {
-		ci := p.classOf[i]
-		heapPushEntry(&p.classes[ci].heap, pentry{score: sm.scoreOf(ms), idx: int32(i)})
+	for ci := range p.classes {
+		cl := &p.classes[ci]
+		cl.width = 1
+		for int(cl.width) < len(cl.members) {
+			cl.width *= 2
+		}
+		cl.tree = make([]pnode, 2*cl.width)
+		for k := range cl.tree {
+			cl.tree[k] = emptyNode
+		}
+		for k, mi := range cl.members {
+			leaf := cl.width + int32(k)
+			p.leafOf[mi] = leaf
+			cl.tree[leaf] = sm.leafNode(sm.machines[mi])
+		}
+		for k := cl.width - 1; k >= 1; k-- {
+			cl.tree[k] = maxNode(cl.tree[2*k], cl.tree[2*k+1])
+		}
 	}
 	return p
 }
@@ -151,6 +118,19 @@ func mergeAscending(a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
+// leafNode is machine ms's leaf summary: its score and free capacity
+// while up, -Inf everywhere while down.
+func (sm *sim) leafNode(ms *machineState) pnode {
+	if ms.down {
+		return emptyNode
+	}
+	return pnode{sm.scoreOf(ms), ms.freeCPU, ms.freeMem}
+}
+
+func maxNode(a, b pnode) pnode {
+	return pnode{max(a.score, b.score), max(a.cpu, b.cpu), max(a.mem, b.mem)}
+}
+
 // eligible returns the machine indices (ascending) whose CPU capacity
 // satisfies minClass, or nil when no class does.
 func (p *placeIndex) eligible(minClass float64) []int32 {
@@ -161,92 +141,106 @@ func (p *placeIndex) eligible(minClass float64) []int32 {
 	return p.classes[ci].eligible
 }
 
-// idxUpdate refreshes machine mi's index entry after any change to its
-// free capacity or up/down state. The version bump invalidates the old
-// entry; a fresh one is pushed only while the machine is up, so down
-// machines simply vanish from the heaps.
+// idxUpdate refreshes machine mi's leaf after any change to its free
+// capacity or up/down state, then its ancestors until one is unchanged
+// (everything above an unchanged node is unchanged too).
 func (sm *sim) idxUpdate(mi int) {
 	p := sm.pidx
 	if p == nil {
 		return
 	}
-	p.ver[mi]++
-	ms := sm.machines[mi]
-	if ms.down {
-		return
-	}
-	cl := &p.classes[p.classOf[mi]]
-	heapPushEntry(&cl.heap, pentry{score: sm.scoreOf(ms), idx: int32(mi), ver: p.ver[mi]})
-	if len(cl.heap) > 4*len(cl.members)+16 {
-		sm.idxCompact(cl)
-	}
-}
-
-// idxCompact rebuilds a class heap from its members, dropping the
-// stale entries that lazy deletion accumulates.
-func (sm *sim) idxCompact(cl *pclass) {
-	cl.heap = cl.heap[:0]
-	for _, mi := range cl.members {
-		ms := sm.machines[mi]
-		if ms.down {
-			continue
+	tree := p.classes[p.classOf[mi]].tree
+	k := p.leafOf[mi]
+	tree[k] = sm.leafNode(sm.machines[mi])
+	for k > 1 {
+		k /= 2
+		nd := maxNode(tree[2*k], tree[2*k+1])
+		if nd == tree[k] {
+			break
 		}
-		heapPushEntry(&cl.heap, pentry{score: sm.scoreOf(ms), idx: mi, ver: sm.pidx.ver[mi]})
+		tree[k] = nd
 	}
 }
 
 // placeIndexed finds the best feasible machine across the classes the
 // task's MinCPUClass admits: maximal score, ties to the lowest global
-// machine index — exactly the reference scan's choice.
+// machine index — exactly the reference scan's choice. The best
+// machine so far bounds the search in every later class.
 func (sm *sim) placeIndexed(t *trace.Task) int {
+	if !(t.CPUReq > math.Inf(-1) && t.MemReq > math.Inf(-1)) {
+		// A NaN or -Inf request passes the capacity test even on -Inf
+		// nodes, so the trees cannot prune for it; the reference scan
+		// defines what happens to it.
+		return sm.placeReference(t)
+	}
 	p := sm.pidx
 	best := int32(-1)
 	var bestScore float64
 	examined := 0
 	ci, _ := slices.BinarySearch(p.caps, t.MinCPUClass)
 	for ; ci < len(p.classes); ci++ {
-		mi, score, n := sm.classBest(&p.classes[ci], t)
-		examined += n
-		if mi >= 0 && (best < 0 || score > bestScore || (score == bestScore && mi < best)) {
-			best, bestScore = mi, score
-		}
+		examined += p.classes[ci].best(t, &best, &bestScore)
 	}
 	sm.met.scans.Add(int64(examined))
-	if best < 0 {
-		return -1
-	}
 	return int(best)
 }
 
-// classBest pops the class heap until the best-scoring fresh machine
-// that fits t surfaces. Fresh entries (feasible or not) are pushed
-// back afterwards, so the heap keeps indexing machines that merely
-// lacked room for this particular task; stale entries are dropped for
-// good.
-func (sm *sim) classBest(cl *pclass, t *trace.Task) (int32, float64, int) {
-	p := sm.pidx
-	stash := p.scratch[:0]
-	found := int32(-1)
-	var foundScore float64
+// best descends the class tree for a machine that fits t and beats
+// (*bestMI, *bestScore) — a higher score, or an equal score on a lower
+// machine index — updating the pair in place. It returns the number
+// of leaves whose feasibility it evaluated.
+//
+// The descent is depth-first, higher-scoring child first, so good
+// candidates are found early and tighten the bound. A subtree is
+// skipped when its max free CPU or memory is below the request, or
+// when its max score is below the bound (or equal to it with a first
+// member above the bound's index, so every tie it holds loses). Both
+// tests only skip subtrees that cannot hold the answer, so the result
+// does not depend on the visiting order. Down machines and padding
+// are -Inf, so the capacity test always skips them.
+func (cl *pclass) best(t *trace.Task, bestMI *int32, bestScore *float64) int {
+	tree, width := cl.tree, cl.width
+	mi, score := *bestMI, *bestScore
+	// At most one pending sibling per level plus the node being
+	// expanded; 64 slots cover any int32-indexed tree.
+	var stack [64]int32
+	stack[0] = 1
+	sp := 1
 	examined := 0
-	for len(cl.heap) > 0 {
-		e := heapPopEntry(&cl.heap)
-		if e.ver != p.ver[e.idx] {
-			continue // stale: superseded or machine down
+	for sp > 0 {
+		sp--
+		k := stack[sp]
+		if k >= width {
+			examined++
 		}
-		examined++
-		ms := sm.machines[e.idx]
-		if ms.freeCPU < t.CPUReq || ms.freeMem < t.MemReq {
-			stash = append(stash, e)
+		nd := &tree[k]
+		if nd.cpu < t.CPUReq || nd.mem < t.MemReq {
 			continue
 		}
-		found, foundScore = e.idx, e.score
-		stash = append(stash, e)
-		break
+		if mi >= 0 && nd.score <= score && (nd.score < score || cl.firstMember(k) > mi) {
+			continue
+		}
+		if k >= width {
+			mi, score = cl.members[k-width], nd.score
+			continue
+		}
+		l, r := 2*k, 2*k+1
+		if tree[r].score > tree[l].score {
+			l, r = r, l
+		}
+		stack[sp], stack[sp+1] = r, l
+		sp += 2
 	}
-	for _, e := range stash {
-		heapPushEntry(&cl.heap, e)
+	*bestMI, *bestScore = mi, score
+	return examined
+}
+
+// firstMember is the machine index of node k's leftmost leaf. Only
+// called on nodes that passed the capacity test, which always hold at
+// least one real member, so the leftmost leaf is never padding.
+func (cl *pclass) firstMember(k int32) int32 {
+	for k < cl.width {
+		k *= 2
 	}
-	p.scratch = stash[:0]
-	return found, foundScore, examined
+	return cl.members[k-cl.width]
 }
