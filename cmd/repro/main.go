@@ -414,14 +414,7 @@ func timingRows(rec *obs.Recorder) []report.TimingRow {
 	for _, s := range rec.Summarize() {
 		switch s.Cat {
 		case obs.CatExperiment, obs.CatArtifact, obs.CatStage:
-			rows = append(rows, report.TimingRow{
-				Name:       s.Name,
-				Count:      s.Count,
-				Wall:       s.Wall,
-				AllocBytes: s.AllocBytes,
-				Mallocs:    s.Mallocs,
-				GCs:        int64(s.NumGC),
-			})
+			rows = append(rows, report.TimingRow{Name: s.Name, Count: s.Count, Wall: s.Wall})
 		}
 	}
 	return rows

@@ -33,8 +33,8 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRunSelfHosted is the end-to-end benchmark test: self-host a
-// daemon, drive a small strict run, and require benchjson-parseable
-// output plus a passing server/client quantile cross-check.
+// daemon, drive a small strict run, and require `go test -bench`
+// formatted output plus a passing server/client quantile cross-check.
 func TestRunSelfHosted(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var out, errw strings.Builder

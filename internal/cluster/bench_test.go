@@ -168,9 +168,9 @@ func benchPlaceFull(b *testing.B, n int, reference bool) {
 }
 
 // BenchmarkPlace scales the placement policies over machine counts up
-// to the full-trace 12500 (sub-benchmark names use only slashes so
-// benchjson's procs-suffix split is unambiguous). The full/ cases run
-// on a packed park where most placements fail.
+// to the full-trace 12500 (sub-benchmark names use only slashes, so
+// the -procs suffix go test appends is unambiguous). The full/ cases
+// run on a packed park where most placements fail.
 func BenchmarkPlace(b *testing.B) {
 	for _, n := range []int{100, 1000, synth.FullScaleMachines} {
 		b.Run(fmt.Sprintf("ref/%d", n), func(b *testing.B) { benchPlace(b, n, true) })

@@ -296,7 +296,7 @@ func observedGet[T any](c *Context, name string, cl *cell[T], build func() (T, e
 		built = true
 		// A traced caller (the serving path threads its request trace
 		// through c.Ctx()) gets the build as a trace child; the batch
-		// pipeline keeps its plain AutoTID span with MemStats deltas.
+		// pipeline keeps its plain AutoTID span.
 		sp, _ := c.rec.StartSpan(c.Ctx(), "build:"+name, obs.CatArtifact)
 		start := time.Now()
 		defer func() {

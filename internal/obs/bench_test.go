@@ -6,7 +6,8 @@ import (
 )
 
 // The registry's contract is "cheap enough to leave on": these benches
-// are the evidence BENCH_pr2.json records for future perf PRs.
+// measure it per operation. Compare two revisions by running them on
+// one host, alternating revisions, with -count > 1.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench")

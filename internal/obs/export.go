@@ -134,19 +134,8 @@ func WriteSpansChromeTrace(w io.Writer, spans []SpanRecord) error {
 			Name: sp.Name, Cat: sp.Cat, Ph: "X",
 			TS: sp.StartUS, Dur: sp.DurUS, PID: 1, TID: sp.TID,
 		}
-		if sp.AllocBytes != 0 || sp.Mallocs != 0 || sp.NumGC != 0 {
-			ev.Args = map[string]any{
-				"alloc_bytes": sp.AllocBytes,
-				"mallocs":     sp.Mallocs,
-				"num_gc":      sp.NumGC,
-			}
-		}
 		if sp.TraceID != "" {
-			if ev.Args == nil {
-				ev.Args = make(map[string]any, 4)
-			}
-			ev.Args["trace_id"] = sp.TraceID
-			ev.Args["span_id"] = sp.SpanID
+			ev.Args = map[string]any{"trace_id": sp.TraceID, "span_id": sp.SpanID}
 			if sp.ParentID != "" {
 				ev.Args["parent_id"] = sp.ParentID
 			}

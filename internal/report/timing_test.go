@@ -9,10 +9,8 @@ import (
 
 func sampleTimingRows() []TimingRow {
 	return []TimingRow{
-		{Name: "exp:fig3", Count: 1, Wall: 1234 * time.Millisecond,
-			AllocBytes: 3 << 20, Mallocs: 4200, GCs: 2},
-		{Name: "build:sim", Count: 1, Wall: 250 * time.Microsecond,
-			AllocBytes: 512, Mallocs: 7, GCs: 0},
+		{Name: "exp:fig3", Count: 1, Wall: 1234 * time.Millisecond},
+		{Name: "build:sim", Count: 1, Wall: 250 * time.Microsecond},
 	}
 }
 
@@ -23,14 +21,17 @@ func TestTimingTableRender(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"Per-stage wall time and allocations",
-		"stage", "wall", "alloc", "mallocs",
-		"exp:fig3", "1.234s", "3.00 MiB", "4200",
-		"build:sim", "250µs", "512 B",
+		"Per-stage wall time",
+		"stage", "wall",
+		"exp:fig3", "1.234s",
+		"build:sim", "250µs",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "alloc") {
+		t.Errorf("render still has an allocation column:\n%s", out)
 	}
 }
 
@@ -70,25 +71,6 @@ func TestDur(t *testing.T) {
 	for _, c := range cases {
 		if got := Dur(c.in); got != c.want {
 			t.Errorf("Dur(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestBytes(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{0, "0 B"},
-		{512, "512 B"},
-		{1 << 10, "1.00 KiB"},
-		{3 << 20, "3.00 MiB"},
-		{5 << 30, "5.00 GiB"},
-		{-2 << 20, "-2.00 MiB"},
-	}
-	for _, c := range cases {
-		if got := Bytes(c.in); got != c.want {
-			t.Errorf("Bytes(%d) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -76,15 +77,23 @@ func predictScenarioFor(q url.Values) (predict.Scenario, error) {
 	return sc, nil
 }
 
-// predictFor returns the scenario's report, serving the LRU-cached
-// copy when warm and otherwise coalescing all concurrent cold requests
-// for the same canonical scenario into one RunScenario under the
-// server's lifetime context. ctx is the requester's wait budget only.
-func (s *Server) predictFor(ctx context.Context, sc predict.Scenario) (*predict.ScenarioReport, error) {
+// predictBodies is one scenario report rendered once into both
+// served variants: the plain text cmd/predict prints and the JSON of
+// ?format=json.
+type predictBodies struct {
+	text, json []byte
+}
+
+// predictFor returns the scenario's rendered report, serving the
+// LRU-cached bodies when warm and otherwise coalescing all concurrent
+// cold requests for the same canonical scenario into one RunScenario
+// under the server's lifetime context. ctx is the requester's wait
+// budget only.
+func (s *Server) predictFor(ctx context.Context, sc predict.Scenario) (*predictBodies, error) {
 	key := sc.Canonical()
-	if rep, ok := s.predictCache.get(key); ok {
+	if b, ok := s.predictCache.get(key); ok {
 		s.predictHit.Add(1)
-		return rep, nil
+		return b, nil
 	}
 	v, shared, err := s.predictSF.Do(ctx, key, func() (any, error) {
 		// Like artifact builds, the computation itself runs to
@@ -96,8 +105,17 @@ func (s *Server) predictFor(ctx context.Context, sc predict.Scenario) (*predict.
 		if err != nil {
 			return nil, err
 		}
-		s.predictCache.put(key, rep)
-		return rep, nil
+		var text bytes.Buffer
+		if err := rep.WriteText(&text); err != nil {
+			return nil, err
+		}
+		js, err := json.Marshal(rep)
+		if err != nil {
+			return nil, fmt.Errorf("encode response: %w", err)
+		}
+		b := &predictBodies{text: text.Bytes(), json: js}
+		s.predictCache.put(key, b)
+		return b, nil
 	})
 	if shared {
 		s.coShared.Add(1)
@@ -105,7 +123,7 @@ func (s *Server) predictFor(ctx context.Context, sc predict.Scenario) (*predict.
 	if err != nil {
 		return nil, err
 	}
-	return v.(*predict.ScenarioReport), nil
+	return v.(*predictBodies), nil
 }
 
 // handlePredict serves GET /v1/predict: the host-load prediction
@@ -134,19 +152,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.gate.Release()
-	rep, err := s.predictFor(r.Context(), sc)
+	b, err := s.predictFor(r.Context(), sc)
 	if err != nil {
 		s.writeBuildError(w, err)
 		return
 	}
 	if format == "json" {
-		writeJSON(w, http.StatusOK, rep)
+		writeBytes(w, "application/json", b.json)
 		return
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeBytes(w, "text/plain; charset=utf-8", buf.Bytes())
+	writeBytes(w, "text/plain; charset=utf-8", b.text)
 }

@@ -47,7 +47,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/replica"
 )
 
@@ -143,7 +142,7 @@ type Server struct {
 	buildTimeout time.Duration
 
 	predictSF    group
-	predictCache *lru[*predict.ScenarioReport]
+	predictCache *lru[*predictBodies]
 
 	exps       map[string]core.Experiment
 	allList    []core.Experiment // every servable artifact, registry order
@@ -210,7 +209,7 @@ func New(cfg Config) *Server {
 		gate:         NewGate(cfg.MaxInflight, maxQueue, reg),
 		lru:          newLRU[*entry](maxContexts, reg, "serve.ctx"),
 		tier:         artifactTier{m: make(map[string]*artifact)},
-		predictCache: newLRU[*predict.ScenarioReport](maxContexts, reg, "serve.predict.ctx"),
+		predictCache: newLRU[*predictBodies](maxContexts, reg, "serve.predict.ctx"),
 		buildTimeout: cfg.BuildTimeout,
 		exps:         make(map[string]core.Experiment),
 		start:        time.Now(),
