@@ -105,10 +105,14 @@ func TestMetricsOutWellFormed(t *testing.T) {
 	for _, want := range []string{
 		"cluster.events_dispatched",
 		"cluster.machine_scans",
+		"cluster.pending.high",
+		"cluster.pending.low",
+		"cluster.pending.middle",
 		"cluster.place_failures",
 		"cluster.preempt_inspections",
 		"cluster.preempt_skipped",
 		"cluster.queue_depth",
+		"cluster.retries_skipped",
 		"cluster.tasks_scheduled",
 		"core.cell.google_tasks.miss",
 		"core.cell.sim.miss",

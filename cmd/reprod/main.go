@@ -14,7 +14,7 @@
 //	       [-access-log file] [-access-log-sample n]
 //	       [-trace-buffer n] [-runtime-sample d]
 //	       [-replica-id name] [-peers host:port,...] [-lease-ttl d]
-//	       [-chaos-seed n] [-chaos-prob p]
+//	       [-chaos-seed n] [-chaos-prob p] [-pprof addr]
 //
 // Every daemon builds through one replica coordinator; naming it
 // (-replica-id, plus -peers and a shared -checkpoint-dir) joins any
@@ -54,6 +54,8 @@
 // instead of re-simulating; -prewarm builds every base-scenario
 // artifact in the background after the listener is up.
 //
+// -pprof serves net/http/pprof on its own listener, off by default.
+//
 // SIGINT/SIGTERM drain gracefully: new requests get 503 immediately,
 // in-flight ones finish, and the process exits 0 once idle (or 1 if
 // -drain-timeout expires or a second signal forces shutdown).
@@ -68,6 +70,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only under -pprof
 	"os"
 	"os/signal"
 	"strings"
@@ -117,6 +120,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		leaseTTL     = fs.Duration("lease-ttl", 5*time.Second, "distributed build-lease lifetime between heartbeats")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "deterministic fault-injection seed for the replica chaos sites")
 		chaosProb    = fs.Float64("chaos-prob", 0, "per-site probability of arming one injected error (0 = chaos off)")
+		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -201,6 +205,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			fmt.Fprintf(stderr, "reprod: %v\n", err)
 			return 1
 		}
+	}
+
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintf(stderr, "reprod: pprof: %v\n", err)
+			return 1
+		}
+		defer ln.Close()
+		fmt.Fprintf(stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
+		go http.Serve(ln, nil) //nolint — DefaultServeMux carries the pprof handlers
 	}
 
 	var accessW io.Writer

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -132,5 +133,61 @@ func TestRunServeAndDrain(t *testing.T) {
 	}
 	if data, err := os.ReadFile(metricsOut); err != nil || !strings.Contains(string(data), "serve.req.total") {
 		t.Errorf("metrics-out: err=%v, content missing serve.req.total:\n%s", err, data)
+	}
+}
+
+// TestRunPprofFlag: -pprof serves net/http/pprof on its own listener,
+// and an address that cannot be bound fails at startup.
+func TestRunPprofFlag(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-pprof", "256.256.256.256:1"}, &out, &errw, nil); code != 1 {
+		t.Fatalf("run with unusable -pprof addr = %d, want 1\nstderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "pprof") {
+		t.Errorf("stderr %q, want it to name pprof", errw.String())
+	}
+
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pprofAddr := probe.Addr().String()
+	probe.Close()
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	var out2, errw2 strings.Builder
+	go func() {
+		done <- run([]string{
+			"-addr", "127.0.0.1:0", "-pprof", pprofAddr,
+			"-machines", "4", "-sim-days", "1", "-workload-days", "1",
+		}, &out2, &errw2, ready)
+	}()
+	select {
+	case <-ready:
+	case code := <-done:
+		t.Fatalf("daemon exited %d before becoming ready", code)
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get("http://" + pprofAddr + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Errorf("GET pprof: %v", err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /debug/pprof/cmdline = %d, want 200", resp.StatusCode)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v", err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("drain exit = %d, want 0", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never drained after SIGTERM")
 	}
 }

@@ -74,10 +74,10 @@ func TestMemAssignedTracksRequests(t *testing.T) {
 // depends on call order and respects its bounds.
 func TestBurstFactorDeterministic(t *testing.T) {
 	cfg := DefaultConfig(smallPark(1), 3600)
-	sm := &sim{cfg: cfg, s: rng.New(7)}
+	a := &accountant{cfg: &cfg, burstSeed: rng.New(7).Seed()}
 	seen := map[int64]float64{}
 	for w := int64(0); w < 5000; w++ {
-		f := sm.burstFactor(3, w)
+		f := a.burstFactor(3, w)
 		seen[w] = f
 		if f != 1 && (f < 1.5 || f > cfg.BurstMax) {
 			t.Fatalf("burst factor %v out of bounds at window %d", f, w)
@@ -85,7 +85,7 @@ func TestBurstFactorDeterministic(t *testing.T) {
 	}
 	// Replay: identical values.
 	for w := int64(0); w < 5000; w++ {
-		if sm.burstFactor(3, w) != seen[w] {
+		if a.burstFactor(3, w) != seen[w] {
 			t.Fatalf("burst factor changed on replay at window %d", w)
 		}
 	}
@@ -101,9 +101,9 @@ func TestBurstFactorDeterministic(t *testing.T) {
 		t.Fatalf("burst rate %v, want ~%v", rate, cfg.BurstProb)
 	}
 	// Disabled bursts always return 1.
-	sm.cfg.BurstProb = 0
+	cfg.BurstProb = 0
 	for w := int64(0); w < 100; w++ {
-		if sm.burstFactor(0, w) != 1 {
+		if a.burstFactor(0, w) != 1 {
 			t.Fatal("burst with BurstProb=0")
 		}
 	}

@@ -284,8 +284,10 @@ type runningTask struct {
 type pendingTask struct {
 	task     *trace.Task
 	retries  int
-	seq      int64 // FCFS order within a priority
 	enqueued int64 // when the task entered the pending queue
+	// failedAt is sim.raises when place and the preemption prefilter
+	// last rejected the task; 0 means it has not failed yet.
+	failedAt uint64
 }
 
 type eventKind int
@@ -313,7 +315,9 @@ type simEvent struct {
 // depth so a sift touches fewer cache lines. (time, seq) is a strict
 // total order — seq is unique per event — so any correct heap yields
 // the identical pop sequence and event replay stays byte-identical to
-// the container/heap implementation it replaces.
+// the container/heap implementation it replaces. It holds completions,
+// resubmissions and churn; seeded arrivals come from sim.arrivals
+// (see sim.next).
 type eventQueue struct {
 	evs []simEvent
 }
@@ -451,36 +455,54 @@ type simMetrics struct {
 	// scans counts machines examined during placement: full-scan
 	// iterations on the reference/Random paths, tree leaves whose
 	// feasibility was evaluated on the indexed path.
-	scans         *obs.Counter   // cluster.machine_scans
-	placeFailures *obs.Counter   // cluster.place_failures: place() found no machine
-	inspections   *obs.Counter   // cluster.preempt_inspections: running lists tryPreempt walked
-	skipped       *obs.Counter   // cluster.preempt_skipped: machines the prefilter rejected
-	queueDepth    *obs.Histogram // cluster.queue_depth, sampled per dispatched event
+	scans         *obs.Counter // cluster.machine_scans
+	placeFailures *obs.Counter // cluster.place_failures: place() found no machine
+	inspections   *obs.Counter // cluster.preempt_inspections: running lists tryPreempt walked
+	skipped       *obs.Counter // cluster.preempt_skipped: machines the prefilter rejected
+	// retriesSkipped counts pending tasks schedulePending did not retry
+	// because no capacity rose since they last failed.
+	retriesSkipped *obs.Counter   // cluster.retries_skipped
+	queueDepth     *obs.Histogram // cluster.queue_depth, sampled per dispatched event
+	pendingGroup   [3]*obs.Gauge  // cluster.pending.{low,middle,high}, set per dispatched event
 }
 
 func newSimMetrics(reg *obs.Registry) simMetrics {
-	return simMetrics{
-		events:        reg.Counter("cluster.events_dispatched"),
-		scans:         reg.Counter("cluster.machine_scans"),
-		placeFailures: reg.Counter("cluster.place_failures"),
-		inspections:   reg.Counter("cluster.preempt_inspections"),
-		skipped:       reg.Counter("cluster.preempt_skipped"),
+	m := simMetrics{
+		events:         reg.Counter("cluster.events_dispatched"),
+		scans:          reg.Counter("cluster.machine_scans"),
+		placeFailures:  reg.Counter("cluster.place_failures"),
+		inspections:    reg.Counter("cluster.preempt_inspections"),
+		skipped:        reg.Counter("cluster.preempt_skipped"),
+		retriesSkipped: reg.Counter("cluster.retries_skipped"),
 		queueDepth: reg.Histogram("cluster.queue_depth",
 			[]float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}),
 	}
+	for g := range m.pendingGroup {
+		m.pendingGroup[g] = reg.Gauge("cluster.pending." + trace.PriorityGroup(g).String())
+	}
+	return m
 }
 
 type sim struct {
 	cfg      Config
 	s        *rng.Stream
-	noise    *rng.Stream
 	met      simMetrics
 	machines []*machineState
 	pendingQ [trace.MaxPriority + 1][]pendingTask
-	pendingN int
+	pendingN [3]int // pending tasks per priority group
 	events   eventQueue
 	seq      int64
 	pidx     *placeIndex // nil when Config.ReferencePlacement is set
+
+	// arrivals are the seeded arrivals in (Submit, input position)
+	// order; arrivals[nextArrival:] have not been dispatched yet.
+	arrivals    []*trace.Task
+	nextArrival int
+
+	// raises counts capacity-raising changes (every release and
+	// machineUp), starting at 1 so a pendingTask's zero failedAt never
+	// matches. See schedulePending.
+	raises uint64
 
 	rtSlab  []runningTask  // bump-allocated backing storage for attempts
 	rtFree  []*runningTask // recycled attempts (safe once their evComplete popped)
@@ -489,12 +511,7 @@ type sim struct {
 	out        []trace.TaskEvent
 	machineEvs []MachineEvent
 	usage      []trace.UsageSample
-	series     []*MachineSeries
-	cpuAcc     [][3]*timeseries.Accumulator
-	memAcc     [][3]*timeseries.Accumulator
-	assignAcc  []*timeseries.Accumulator
-	cacheAcc   []*timeseries.Accumulator
-	runningAcc []*timeseries.Accumulator
+	acct       *accountant // per-machine usage accumulators, on their own goroutine
 	pendAcc    *timeseries.Accumulator
 	stats      Stats
 }
@@ -530,7 +547,8 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 		return nil, err
 	}
 
-	sm := &sim{cfg: cfg, s: s.Child("sim"), noise: s.Child("noise"), met: newSimMetrics(cfg.Metrics)}
+	sm := &sim{cfg: cfg, s: s.Child("sim"), met: newSimMetrics(cfg.Metrics), raises: 1}
+	sm.acct = &accountant{cfg: &sm.cfg, noise: s.Child("noise"), burstSeed: sm.s.Seed()}
 	sm.stats.EventCounts = make(map[trace.EventType]int)
 
 	// Accumulator construction can only fail on a range/step the
@@ -548,11 +566,12 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 	nm := len(cfg.Machines)
 	states := make([]machineState, nm) // one slab, not nm boxes
 	sm.machines = make([]*machineState, 0, nm)
-	sm.cpuAcc = make([][3]*timeseries.Accumulator, 0, nm)
-	sm.memAcc = make([][3]*timeseries.Accumulator, 0, nm)
-	sm.assignAcc = make([]*timeseries.Accumulator, 0, nm)
-	sm.cacheAcc = make([]*timeseries.Accumulator, 0, nm)
-	sm.runningAcc = make([]*timeseries.Accumulator, 0, nm)
+	a := sm.acct
+	a.cpu = make([][3]*timeseries.Accumulator, 0, nm)
+	a.mem = make([][3]*timeseries.Accumulator, 0, nm)
+	a.assign = make([]*timeseries.Accumulator, 0, nm)
+	a.cache = make([]*timeseries.Accumulator, 0, nm)
+	a.running = make([]*timeseries.Accumulator, 0, nm)
 	for i, m := range cfg.Machines {
 		ms := &states[i]
 		ms.m, ms.freeCPU, ms.freeMem = m, m.CPU, m.Memory
@@ -564,11 +583,11 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 			ms.cacheAff = sm.s.Range(0.1, 0.8)
 		}
 		sm.machines = append(sm.machines, ms)
-		sm.cpuAcc = append(sm.cpuAcc, [3]*timeseries.Accumulator{newAcc(), newAcc(), newAcc()})
-		sm.memAcc = append(sm.memAcc, [3]*timeseries.Accumulator{newAcc(), newAcc(), newAcc()})
-		sm.assignAcc = append(sm.assignAcc, newAcc())
-		sm.cacheAcc = append(sm.cacheAcc, newAcc())
-		sm.runningAcc = append(sm.runningAcc, newAcc())
+		a.cpu = append(a.cpu, [3]*timeseries.Accumulator{newAcc(), newAcc(), newAcc()})
+		a.mem = append(a.mem, [3]*timeseries.Accumulator{newAcc(), newAcc(), newAcc()})
+		a.assign = append(a.assign, newAcc())
+		a.cache = append(a.cache, newAcc())
+		a.running = append(a.running, newAcc())
 	}
 	sm.pendAcc = newAcc()
 	if accErr != nil {
@@ -578,20 +597,25 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 		sm.pidx = newPlaceIndex(sm)
 	}
 
-	// Pre-size the hot-path buffers from the workload: the event heap
-	// peaks near one entry per not-yet-completed task, and the output
-	// stream carries roughly SUBMIT + SCHEDULE + terminal per attempt.
-	sm.events.evs = make([]simEvent, 0, len(tasks)+64)
-	sm.out = make([]trace.TaskEvent, 0, 3*len(tasks))
-
-	// Seed arrivals.
+	// Seeded arrivals never enter the heap. Pushing them would give
+	// arrival i seq i, so (time, seq) order among them is (Submit,
+	// input position): a stable sort by Submit. Every later push gets a
+	// larger seq, so the cursor wins time ties against the heap.
 	for i := range tasks {
-		t := &tasks[i]
-		if t.Submit >= cfg.Horizon {
-			continue
+		if tasks[i].Submit < cfg.Horizon {
+			sm.arrivals = append(sm.arrivals, &tasks[i])
 		}
-		sm.push(simEvent{time: t.Submit, kind: evArrive, pend: pendingTask{task: t}})
 	}
+	slices.SortStableFunc(sm.arrivals, func(a, b *trace.Task) int { return cmp.Compare(a.Submit, b.Submit) })
+	sm.seq = int64(len(sm.arrivals))
+
+	// Pre-size the hot-path buffers. The heap holds one completion per
+	// running task plus resubmissions and churn: a few dozen entries
+	// per machine (7,127 at the peak of a 200-machine, 3-day paper
+	// run). The output stream carries roughly SUBMIT + SCHEDULE +
+	// terminal per attempt.
+	sm.events.evs = make([]simEvent, 0, 48*nm)
+	sm.out = make([]trace.TaskEvent, 0, 3*len(tasks))
 
 	// Seed machine churn.
 	if cfg.ChurnMTBF > 0 && cfg.ChurnDowntime > 0 {
@@ -609,6 +633,8 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 		}
 	}
 
+	sm.acct.start()
+	defer sm.acct.stop() // joins the accounting goroutine on error returns and panics
 	if err := sm.run(ctx); err != nil {
 		return nil, err
 	}
@@ -652,7 +678,7 @@ func (sm *sim) emit(e trace.TaskEvent) {
 // noticed.
 func (sm *sim) run(ctx context.Context) error {
 	var polled int
-	for sm.events.len() > 0 {
+	for {
 		if polled++; polled&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
@@ -661,8 +687,8 @@ func (sm *sim) run(ctx context.Context) error {
 				return err
 			}
 		}
-		e := sm.events.pop()
-		if e.time >= sm.cfg.Horizon {
+		e, ok := sm.next()
+		if !ok || e.time >= sm.cfg.Horizon {
 			break
 		}
 		sm.met.events.Add(1)
@@ -677,12 +703,33 @@ func (sm *sim) run(ctx context.Context) error {
 			sm.machineUp(e.time, e.machine)
 		}
 		sm.schedulePending(e.time)
-		sm.met.queueDepth.Observe(float64(sm.pendingN))
+		pending := sm.pendingN[0] + sm.pendingN[1] + sm.pendingN[2]
+		sm.met.queueDepth.Observe(float64(pending))
+		for g, n := range sm.pendingN {
+			sm.met.pendingGroup[g].Set(float64(n))
+		}
 	}
 	// Tasks still running at the horizon contribute usage up to the
 	// horizon; their accounting happens in finishAccounting.
 	sm.finishAccounting()
 	return nil
+}
+
+// next removes and returns the earliest undispatched event by (time,
+// seq): the arrival cursor's head or the heap's top. Seeded arrivals
+// hold seqs below every pushed event's, so the cursor wins time ties.
+func (sm *sim) next() (simEvent, bool) {
+	if sm.nextArrival < len(sm.arrivals) {
+		t := sm.arrivals[sm.nextArrival]
+		if sm.events.len() == 0 || t.Submit <= sm.events.evs[0].time {
+			sm.nextArrival++
+			return simEvent{time: t.Submit, kind: evArrive, pend: pendingTask{task: t}}, true
+		}
+	}
+	if sm.events.len() == 0 {
+		return simEvent{}, false
+	}
+	return sm.events.pop(), true
 }
 
 func (sm *sim) arrive(now int64, p pendingTask) {
@@ -692,10 +739,9 @@ func (sm *sim) arrive(now int64, p pendingTask) {
 		Time: now, JobID: t.JobID, TaskIndex: t.Index,
 		Machine: -1, Type: trace.EventSubmit, Priority: t.Priority,
 	})
-	p.seq = sm.seq
 	p.enqueued = now
 	sm.pendingQ[t.Priority] = append(sm.pendingQ[t.Priority], p)
-	sm.pendingN++
+	sm.pendingN[trace.GroupOf(t.Priority)]++
 }
 
 // schedulePending drains the pending queues highest priority first and
@@ -704,7 +750,19 @@ func (sm *sim) arrive(now int64, p pendingTask) {
 // on a heterogeneous park a constrained task would otherwise convoy
 // every peer behind it, which is not how the production scheduler
 // behaves (constrained tasks pend individually).
+//
+// On the indexed Balanced/BestFit path a task is not retried until
+// capacity rises after it failed (sm.raises moves). Between raises
+// only reserve changes machine state, so free CPU and memory only
+// fall and, for every priority, free capacity plus lower-priority
+// requests never rises: place and the preemption prefilter reject the
+// task again. A failure that reached tryPreempt is not recorded, since
+// its running-list sum may sit within rounding of the request. Random
+// draws from sm.s on every place call and the reference path is the
+// skip's oracle, so both retry every task.
 func (sm *sim) schedulePending(now int64) {
+	skip := sm.pidx != nil && sm.cfg.Placement != Random
+	skipped := 0
 	for prio := trace.MaxPriority; prio >= trace.MinPriority; prio-- {
 		q := sm.pendingQ[prio]
 		if len(q) == 0 {
@@ -712,20 +770,33 @@ func (sm *sim) schedulePending(now int64) {
 		}
 		remain := q[:0]
 		for _, p := range q {
+			if skip && p.failedAt == sm.raises {
+				skipped++
+				remain = append(remain, p)
+				continue
+			}
+			raises := sm.raises
 			mi := sm.place(p.task)
+			inspected := false
 			if mi < 0 && sm.cfg.Preemption {
-				mi = sm.preemptFor(now, p.task)
+				mi, inspected = sm.preemptFor(now, p.task)
 			}
 			if mi < 0 {
+				if !inspected {
+					p.failedAt = raises
+				}
 				remain = append(remain, p)
 				continue
 			}
 			// Time-weighted pending occupancy (Fig 8b pending curve).
 			sm.pendAcc.AddRange(p.enqueued, now, 1)
 			sm.start(now, p, mi)
-			sm.pendingN--
+			sm.pendingN[trace.GroupOf(prio)]--
 		}
 		sm.pendingQ[prio] = remain
+	}
+	if skipped > 0 {
+		sm.met.retriesSkipped.Add(int64(skipped))
 	}
 }
 
@@ -812,28 +883,30 @@ func (sm *sim) placeReference(t *trace.Task) int {
 // machine with no lower-priority work cannot be cleared. Both skips
 // therefore reject only machines whose tryPreempt capacity test
 // fails, and such a call evicts nothing, so skipping it is exact.
-func (sm *sim) preemptFor(now int64, t *trace.Task) int {
+// The bool reports whether tryPreempt ran on any machine.
+func (sm *sim) preemptFor(now int64, t *trace.Task) (int, bool) {
 	if sm.pidx == nil {
 		for i := range sm.machines {
 			if sm.tryPreempt(now, t, i) {
-				return i
+				return i, true
 			}
 		}
-		return -1
+		return -1, true
 	}
-	found, skipped := -1, 0
+	found, skipped, inspected := -1, 0, false
 	for _, i := range sm.pidx.eligible(t.MinCPUClass) {
 		if !sm.machines[i].mayClearFor(t.Priority, t.CPUReq, t.MemReq) {
 			skipped++
 			continue
 		}
+		inspected = true
 		if sm.tryPreempt(now, t, int(i)) {
 			found = int(i)
 			break
 		}
 	}
 	sm.met.skipped.Add(int64(skipped))
-	return found
+	return found, inspected
 }
 
 // tryPreempt clears machine i for t if evicting its strictly-lower-
@@ -910,6 +983,7 @@ func (sm *sim) machineDown(now int64, mi int) {
 
 // machineUp returns a machine to service.
 func (sm *sim) machineUp(now int64, mi int) {
+	sm.raises++
 	sm.machines[mi].down = false
 	sm.machineEvs = append(sm.machineEvs, MachineEvent{Time: now, Machine: mi, Up: true})
 	sm.idxUpdate(mi)
@@ -923,8 +997,9 @@ func (sm *sim) evict(now int64, rt *runningTask) {
 }
 
 // reserve books t's requests on machine mi and refreshes its index
-// entry; release is the inverse. All free-capacity mutations go
-// through these two so the index can never go stale.
+// entry; release is the inverse and counts as a capacity raise. All
+// free-capacity mutations go through these two so neither the index
+// nor the retry rule in schedulePending can go stale.
 func (sm *sim) reserve(mi int, t *trace.Task) {
 	ms := sm.machines[mi]
 	ms.freeCPU -= t.CPUReq
@@ -933,6 +1008,7 @@ func (sm *sim) reserve(mi int, t *trace.Task) {
 }
 
 func (sm *sim) release(mi int, t *trace.Task) {
+	sm.raises++
 	ms := sm.machines[mi]
 	ms.freeCPU += t.CPUReq
 	ms.freeMem += t.MemReq
@@ -1051,49 +1127,147 @@ func (sm *sim) settle(now int64, rt *runningTask) {
 	}
 }
 
-// account adds the attempt's usage over [rt.start, end) to the
-// machine accumulators, window by window so per-window noise shows up
-// in the host signal.
+// account hands the attempt's usage over [rt.start, end) to the
+// accounting goroutine. The record copies everything it needs, so the
+// attempt can be recycled before the record is applied.
 func (sm *sim) account(rt *runningTask, end int64) {
-	if end > sm.cfg.Horizon {
-		end = sm.cfg.Horizon
-	}
+	end = min(end, sm.cfg.Horizon)
 	if end <= rt.start {
 		return
 	}
-	mi := rt.machine
-	g := int(trace.GroupOf(rt.task.Priority))
-	step := sm.cfg.SamplePeriod
-	cpu := sm.cpuAcc[mi][g]
-	mem := sm.memAcc[mi][g]
-
-	for t := rt.start; t < end; {
-		winEnd := (t/step + 1) * step
-		if winEnd > end {
-			winEnd = end
-		}
-		frac := float64(winEnd-t) / float64(step)
-		n := 1 + sm.cfg.UsageNoise*sm.noise.NormFloat64()
-		if n < 0.05 {
-			n = 0.05
-		}
-		n *= sm.burstFactor(mi, t/step)
-		cpu.Add(t, rt.cpuUse*n*frac)
-		mem.Add(t, rt.memUse*frac*(1+0.15*sm.noise.NormFloat64()))
-		sm.assignAcc[mi].Add(t, rt.task.MemReq*frac)
-		sm.cacheAcc[mi].Add(t, rt.cacheUse*frac)
-		sm.runningAcc[mi].Add(t, frac)
-		t = winEnd
-	}
-
+	sm.acct.add(usageRec{
+		start: rt.start, end: end,
+		cpuUse: rt.cpuUse, memUse: rt.memUse, memReq: rt.task.MemReq, cacheUse: rt.cacheUse,
+		machine: int32(rt.machine), group: int32(trace.GroupOf(rt.task.Priority)),
+	})
 	if sm.cfg.EmitUsage {
 		sm.usage = append(sm.usage, trace.UsageSample{
 			Start: rt.start, End: end,
 			JobID: rt.task.JobID, TaskIndex: rt.task.Index,
-			Machine: mi, CPU: rt.cpuUse, MemUsed: rt.memUse,
+			Machine: rt.machine, CPU: rt.cpuUse, MemUsed: rt.memUse,
 			MemAssigned: rt.task.MemReq, PageCache: rt.cacheUse,
 			Priority: rt.task.Priority,
 		})
+	}
+}
+
+// usageRec is one settled attempt's usage over [start, end).
+type usageRec struct {
+	start, end                       int64
+	cpuUse, memUse, memReq, cacheUse float64
+	machine, group                   int32
+}
+
+const (
+	usageBatch = 512 // records per batch
+	// usageBatches is how many batches circulate: the one the
+	// simulating goroutine fills and up to three queued or being
+	// applied. Both channels are sized to hold them all, so only
+	// taking a free batch ever blocks.
+	usageBatches = 4
+)
+
+// accountant applies usage records to the per-machine accumulators on
+// its own goroutine. The simulating goroutine appends records to a
+// batch and sends full batches over a bounded channel; one consumer
+// applies them in send order and returns them through a free list, so
+// the noise draws happen in exactly the order a serial loop makes
+// them. Nothing else reads the accumulators or the noise stream before
+// stop, which joins the consumer.
+type accountant struct {
+	// Owned by the consumer between start and stop; cfg is read-only.
+	cfg       *Config
+	noise     *rng.Stream
+	burstSeed uint64
+	cpu, mem  [][3]*timeseries.Accumulator
+	assign    []*timeseries.Accumulator
+	cache     []*timeseries.Accumulator
+	running   []*timeseries.Accumulator
+
+	batch      []usageRec // being filled by the simulating goroutine
+	full, free chan []usageRec
+	done       chan struct{}
+	panicked   any // a recovered consumer panic, written before done closes
+}
+
+func (a *accountant) start() {
+	a.full = make(chan []usageRec, usageBatches)
+	a.free = make(chan []usageRec, usageBatches)
+	for range usageBatches - 1 {
+		a.free <- make([]usageRec, 0, usageBatch)
+	}
+	a.batch = make([]usageRec, 0, usageBatch)
+	a.done = make(chan struct{})
+	go a.consume(a.full, a.free)
+}
+
+func (a *accountant) add(r usageRec) {
+	a.batch = append(a.batch, r)
+	if len(a.batch) == usageBatch {
+		a.full <- a.batch
+		a.batch = <-a.free
+	}
+}
+
+// stop flushes the last batch, closes the pipe and waits for the
+// consumer to exit, then re-raises a consumer panic on the calling
+// goroutine. Calls after the first do nothing.
+func (a *accountant) stop() {
+	if a.full == nil {
+		return
+	}
+	a.full <- a.batch
+	close(a.full)
+	<-a.done
+	a.full, a.batch = nil, nil
+	if p := a.panicked; p != nil {
+		a.panicked = nil
+		panic(p)
+	}
+}
+
+// consume applies batches until the pipe closes. After a panic it keeps
+// receiving, and returning, batches so the simulating goroutine never
+// blocks on a dead consumer; stop re-raises the panic.
+func (a *accountant) consume(full <-chan []usageRec, free chan<- []usageRec) {
+	defer close(a.done)
+	defer func() {
+		if p := recover(); p != nil {
+			a.panicked = p
+			for b := range full {
+				free <- b[:0]
+			}
+		}
+	}()
+	for b := range full {
+		for i := range b {
+			a.apply(&b[i])
+		}
+		free <- b[:0]
+	}
+}
+
+// apply adds one record to its machine's accumulators, window by
+// window so per-window noise shows up in the host signal.
+func (a *accountant) apply(r *usageRec) {
+	step := a.cfg.SamplePeriod
+	mi := int(r.machine)
+	cpu := a.cpu[mi][r.group]
+	mem := a.mem[mi][r.group]
+	for t := r.start; t < r.end; {
+		winEnd := min((t/step+1)*step, r.end)
+		frac := float64(winEnd-t) / float64(step)
+		n := 1 + a.cfg.UsageNoise*a.noise.NormFloat64()
+		if n < 0.05 {
+			n = 0.05
+		}
+		n *= a.burstFactor(mi, t/step)
+		cpu.Add(t, r.cpuUse*n*frac)
+		mem.Add(t, r.memUse*frac*(1+0.15*a.noise.NormFloat64()))
+		a.assign[mi].Add(t, r.memReq*frac)
+		a.cache[mi].Add(t, r.cacheUse*frac)
+		a.running[mi].Add(t, frac)
+		t = winEnd
 	}
 }
 
@@ -1102,28 +1276,28 @@ func (sm *sim) account(rt *runningTask, end int64) {
 // the machine sees the same factor in the same window regardless of
 // accounting order — keeping the simulation deterministic without
 // storing a machines x windows matrix.
-func (sm *sim) burstFactor(machine int, window int64) float64 {
-	if sm.cfg.BurstProb <= 0 || sm.cfg.BurstMax <= 1 {
+func (a *accountant) burstFactor(machine int, window int64) float64 {
+	if a.cfg.BurstProb <= 0 || a.cfg.BurstMax <= 1 {
 		return 1
 	}
-	x := uint64(machine)<<40 ^ uint64(window) ^ sm.s.Seed()
+	x := uint64(machine)<<40 ^ uint64(window) ^ a.burstSeed
 	// splitmix64 finaliser.
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	u := float64(x>>11) / float64(1<<53)
-	if u >= sm.cfg.BurstProb {
+	if u >= a.cfg.BurstProb {
 		return 1
 	}
 	// Map the sub-threshold draw to a factor in (1.5, BurstMax).
-	return 1.5 + (sm.cfg.BurstMax-1.5)*(u/sm.cfg.BurstProb)
+	return 1.5 + (a.cfg.BurstMax-1.5)*(u/a.cfg.BurstProb)
 }
 
 // finishAccounting settles tasks still running at the horizon (they
 // contribute usage up to the horizon but emit no terminal event,
-// exactly like the truncated real trace) and counts stranded pending
-// tasks.
+// exactly like the truncated real trace), counts stranded pending
+// tasks, and joins the accounting goroutine.
 func (sm *sim) finishAccounting() {
 	for _, ms := range sm.machines {
 		// Deterministic order: accounting consumes the noise stream.
@@ -1145,6 +1319,7 @@ func (sm *sim) finishAccounting() {
 			sm.pendAcc.AddRange(p.enqueued, sm.cfg.Horizon, 1)
 		}
 	}
+	sm.acct.stop()
 }
 
 // publishStats copies the run-level tallies into the configured
@@ -1178,19 +1353,19 @@ func (sm *sim) result() *Result {
 	for i, ms := range sm.machines {
 		s := &MachineSeries{Machine: ms.m}
 		for g := 0; g < 3; g++ {
-			s.CPUByGroup[g] = sm.cpuAcc[i][g].Series()
-			s.MemByGroup[g] = sm.memAcc[i][g].Series()
+			s.CPUByGroup[g] = sm.acct.cpu[i][g].Series()
+			s.MemByGroup[g] = sm.acct.mem[i][g].Series()
 		}
 		// Physical clamp: a machine cannot consume beyond its CPU
 		// capacity; demand bursts above it saturate (this is why the
 		// paper sees per-machine maxima exactly at capacity, Fig 7a).
 		clampGroups(s.CPUByGroup[:], ms.m.CPU)
 		clampGroups(s.MemByGroup[:], ms.m.Memory)
-		s.MemAssigned = sm.assignAcc[i].Series()
+		s.MemAssigned = sm.acct.assign[i].Series()
 		clampSeries(s.MemAssigned, ms.m.Memory)
-		s.PageCache = sm.cacheAcc[i].Series()
+		s.PageCache = sm.acct.cache[i].Series()
 		clampSeries(s.PageCache, ms.m.PageCache)
-		s.Running = sm.runningAcc[i].Series()
+		s.Running = sm.acct.running[i].Series()
 		res.Machines = append(res.Machines, s)
 	}
 	return res

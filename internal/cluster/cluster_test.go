@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,6 +76,31 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	}
 	if res.Stats.AbnormalFraction() != 0 {
 		t.Fatal("finish-only run reported abnormal events")
+	}
+}
+
+// TestArrivalBeatsSameTimeCompletion pins the (time, seq) tie-break:
+// a seeded arrival is dispatched before a completion at the same
+// second, so it finds the machine still full and is scheduled only
+// after the completion frees it.
+func TestArrivalBeatsSameTimeCompletion(t *testing.T) {
+	cfg := DefaultConfig(smallPark(1), 3600)
+	cfg.Outcomes = alwaysFinish()
+	tasks := []trace.Task{
+		oneTask(1, 0, 5, 1, 1, 100), // runs [0, 100)
+		oneTask(2, 100, 5, 1, 1, 100),
+	}
+	res, err := Simulate(cfg, tasks, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range res.Events {
+		got = append(got, fmt.Sprintf("%d:%d:%v", e.Time, e.JobID, e.Type))
+	}
+	want := []string{"0:1:SUBMIT", "0:1:SCHEDULE", "100:2:SUBMIT", "100:1:FINISH", "100:2:SCHEDULE", "200:2:FINISH"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events %v, want %v", got, want)
 	}
 }
 
@@ -505,4 +533,61 @@ func TestAccumulatorSetupReturnsError(t *testing.T) {
 	if _, err := Simulate(cfg, nil, rng.New(1)); err != nil {
 		t.Fatalf("Simulate on adversarial config: %v", err)
 	}
+}
+
+// pollCancelCtx reports cancellation from its n-th Err call on, so a
+// test can stop the event loop at a deterministic point mid-run.
+type pollCancelCtx struct {
+	context.Context
+	polls, n int
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSimulateCtxCancelMidRunJoinsAccounting: cancelling mid-run, with
+// usage batches already handed to the accounting goroutine, returns
+// the cause and leaves no goroutine behind.
+func TestSimulateCtxCancelMidRunJoinsAccounting(t *testing.T) {
+	cfg, tasks := coreInputs(1, 40, 86400)
+	before := runtime.NumGoroutine()
+	// Poll 100 comes ~25k events in, after thousands of settled attempts.
+	ctx := &pollCancelCtx{Context: context.Background(), n: 100}
+	start := time.Now()
+	res, err := SimulateCtx(ctx, cfg, tasks, rng.New(5))
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("SimulateCtx returned result %v, err %v; want no result, context.Canceled", res != nil, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled run took %v", d)
+	}
+	// stop has joined the consumer, which may still be unwinding.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAccountingPanicReraised: a panic on the accounting goroutine
+// neither deadlocks the producer nor escapes; stop re-raises it on the
+// calling goroutine.
+func TestAccountingPanicReraised(t *testing.T) {
+	cfg := DefaultConfig(smallPark(1), 3600)
+	a := &accountant{cfg: &cfg} // no accumulators: the first apply panics
+	a.start()
+	for range 3 * usageBatches * usageBatch {
+		a.add(usageRec{end: 600})
+	}
+	defer func() {
+		if _, ok := recover().(runtime.Error); !ok {
+			t.Fatal("accounting panic not re-raised by stop")
+		}
+	}()
+	a.stop()
 }
