@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check perfbench-test chaos smoke-replicas paper-oracle
+.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check perfbench-test chaos smoke-replicas paper-oracle full-oracle
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,16 @@ paper-oracle:
 	echo "$$out"; \
 	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "paper-batch oracle: artifacts differ from perfbench/golden/"; exit 1; }
 
+# Full-scale artifact oracle: a fresh `repro -scale full -extensions`
+# run must reproduce the committed out/ (every artifact and report.md)
+# byte for byte. perfbench stops at paper-batch scale; this is the
+# byte-identity gate where the simulation is largest (~1.5 min, under
+# 1 GB peak RSS).
+full-oracle:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/repro -scale full -extensions -out "$$tmp" -markdown "$$tmp/report.md" >/dev/null && \
+	diff -r out "$$tmp" && echo "full-scale oracle: out/ reproduced byte for byte"
+
 # Fail if any file needs gofmt. Kept as its own target so both make
 # check and the CI workflow gate on the exact same command.
 fmt-check:
@@ -64,7 +74,7 @@ perfbench-test:
 
 # Full hygiene gate: formatting, vet, the race detector, the
 # instrumentation-never-changes-outputs invariant, the chaos suite and
-# the end-to-end artifact oracle.
+# the end-to-end artifact oracles.
 check: fmt-check chaos perfbench-test
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -72,6 +82,7 @@ check: fmt-check chaos perfbench-test
 		./cmd/repro ./internal/core
 	$(GO) test -run 'TestReferencePlacementByteIdentical' ./internal/cluster
 	$(MAKE) paper-oracle
+	$(MAKE) full-oracle
 	$(GO) test -run 'TestSketchMatchesExact|TestUsageSketchMatchesExactUsage' ./internal/stats ./internal/hostload
 	$(GO) test -run 'TestMetricsExposition|TestAccessLogWritten|TestMultiReplicaSmoke' ./cmd/reprod
 	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover' \
@@ -80,7 +91,7 @@ check: fmt-check chaos perfbench-test
 
 # What .github/workflows/ci.yml runs, runnable locally so "CI is red"
 # never needs a push to debug.
-ci: fmt-check build test perfbench-test paper-oracle race chaos smoke-replicas
+ci: fmt-check build test perfbench-test paper-oracle full-oracle race chaos smoke-replicas
 
 repro-quick:
 	$(GO) run ./cmd/repro -scale quick

@@ -74,18 +74,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	var events, terminal int
+	for e, n := range res.Stats.EventCounts {
+		events += n
+		if e.Terminal() {
+			terminal += n
+		}
+	}
 	fmt.Fprintf(stdout, "simulated %d machines for %d day(s): %d tasks, %d attempts, %d events\n\n",
-		*machines, *days, res.Stats.TasksSubmitted, res.Stats.Attempts, len(res.Events))
+		*machines, *days, res.Stats.TasksSubmitted, res.Stats.Attempts, events)
 
 	evt := &report.Table{
 		ID: "events", Title: "Event mix",
 		Columns: []string{"event", "count", "share of terminal"},
-	}
-	var terminal int
-	for e, n := range res.Stats.EventCounts {
-		if e.Terminal() {
-			terminal += n
-		}
 	}
 	for _, e := range []trace.EventType{
 		trace.EventSubmit, trace.EventSchedule, trace.EventFinish,

@@ -84,7 +84,7 @@ func genGoogle(stdout io.Writer, machines int, horizon int64, seed uint64, out s
 	gcfg := synth.ScaledGoogleConfig(machines, horizon)
 	tasks := synth.GenerateGoogleTasks(gcfg, s.Child("workload"))
 	cfg := cluster.DefaultConfig(park, horizon)
-	cfg.EmitUsage = true
+	cfg.EmitTrace = true
 	if churnMTBF > 0 {
 		cfg.ChurnMTBF = churnMTBF
 		cfg.ChurnDowntime = 1800

@@ -157,10 +157,7 @@ func TestTasksBeyondHorizonIgnored(t *testing.T) {
 		oneTask(1, 500, 5, 0.1, 0.1, 100),
 		oneTask(2, 1500, 5, 0.1, 0.1, 100), // beyond horizon
 	}
-	res, err := Simulate(cfg, tasks, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(5))
 	if res.Stats.TasksSubmitted != 1 {
 		t.Fatalf("submitted %d, want 1", res.Stats.TasksSubmitted)
 	}
@@ -182,10 +179,7 @@ func TestUpdateEventsEmitted(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		tasks = append(tasks, oneTask(int64(i+1), s.Int64N(6*3600), 1+s.IntN(12), 0.1, 0.1, 600+s.Int64N(3600)))
 	}
-	res, err := Simulate(cfg, tasks, rng.New(78))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(78))
 	if res.Stats.EventCounts[trace.EventUpdate] == 0 {
 		t.Fatal("no UPDATE events with UpdateProb=1")
 	}
@@ -218,10 +212,7 @@ func TestSkipScanAvoidsConstraintConvoy(t *testing.T) {
 	blocked := oneTask(1, 0, 5, 0.1, 0.1, 600)
 	blocked.MinCPUClass = 1.0 // no qualifying machine exists
 	runnable := oneTask(2, 10, 5, 0.1, 0.1, 600)
-	res, err := Simulate(cfg, []trace.Task{blocked, runnable}, rng.New(80))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, []trace.Task{blocked, runnable}, rng.New(80))
 	var ranSecond bool
 	for _, e := range res.Events {
 		if e.Type == trace.EventSchedule && e.JobID == 2 {

@@ -16,10 +16,7 @@ func TestChurnEvictsRunningTasks(t *testing.T) {
 	cfg.ChurnDowntime = 600
 	// One long task that would otherwise run the whole horizon.
 	tasks := []trace.Task{oneTask(1, 0, 5, 0.5, 0.5, 5*3600)}
-	res, err := Simulate(cfg, tasks, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(1))
 	if res.Stats.MachineFailures == 0 {
 		t.Fatal("no machine failures with churn enabled")
 	}

@@ -6,8 +6,9 @@
 // sampling per machine.
 //
 // The simulator consumes the task workload produced by internal/synth
-// (or any []trace.Task) and emits the event stream and per-machine
-// usage series that the Section IV host-load analyses consume.
+// (or any []trace.Task) and returns the per-machine usage series and
+// event tallies that the Section IV host-load analyses consume, plus,
+// on request, the full event stream.
 package cluster
 
 import (
@@ -134,9 +135,12 @@ type Config struct {
 	ChurnMTBF     int64
 	ChurnDowntime int64
 
-	// EmitUsage additionally records per-task UsageSamples (expensive;
-	// intended for small traces and format round-trips).
-	EmitUsage bool
+	// EmitTrace records the task event stream (Result.Events) and the
+	// per-attempt usage samples (Result.Usage). Both grow with the
+	// trace, and the analyses need only the per-machine and run-level
+	// tallies every run keeps, so they are for trace export and
+	// event-level tests.
+	EmitTrace bool
 
 	// Metrics, when non-nil, receives the run's operational counters
 	// (events dispatched, machine scans, queue-depth samples, per-type
@@ -178,6 +182,13 @@ type MachineSeries struct {
 	MemAssigned *timeseries.Series
 	PageCache   *timeseries.Series
 	Running     *timeseries.Series // mean number of running tasks
+
+	// Fig 8 tallies of the task events on this machine: cumulative
+	// FINISH and abnormal (EVICT, FAIL, KILL, LOST) completions at the
+	// end of each sampling window, and the count of each event type.
+	Finished    *timeseries.Series
+	Abnormal    *timeseries.Series
+	EventCounts [trace.NumEventTypes]int
 }
 
 // CPU returns the total CPU usage series (all priorities), normalised
@@ -254,8 +265,8 @@ type MachineEvent struct {
 // Result is the simulator output.
 type Result struct {
 	Config        Config
-	Events        []trace.TaskEvent
-	Usage         []trace.UsageSample // only when Config.EmitUsage
+	Events        []trace.TaskEvent   // only when Config.EmitTrace
+	Usage         []trace.UsageSample // only when Config.EmitTrace
 	Machines      []*MachineSeries
 	MachineEvents []MachineEvent     // churn transitions, if any
 	Pending       *timeseries.Series // cluster-wide mean pending tasks
@@ -388,6 +399,12 @@ type machineState struct {
 	prioCPU  [trace.MaxPriority + 1]float64
 	prioMem  [trace.MaxPriority + 1]float64
 	prioMask uint16 // bit p set iff prioN[p] > 0
+
+	// Event tallies behind MachineSeries.Finished, Abnormal and
+	// EventCounts; finished and abnormal count completions per
+	// sampling window until result() accumulates them.
+	evCounts           [trace.NumEventTypes]int
+	finished, abnormal []float64
 }
 
 func (ms *machineState) addRunning(rt *runningTask) {
@@ -565,6 +582,8 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 	}
 	nm := len(cfg.Machines)
 	states := make([]machineState, nm) // one slab, not nm boxes
+	nbins := int((cfg.Horizon + cfg.SamplePeriod - 1) / cfg.SamplePeriod)
+	bins := make([]float64, 2*nm*nbins)
 	sm.machines = make([]*machineState, 0, nm)
 	a := sm.acct
 	a.cpu = make([][3]*timeseries.Accumulator, 0, nm)
@@ -575,6 +594,8 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 	for i, m := range cfg.Machines {
 		ms := &states[i]
 		ms.m, ms.freeCPU, ms.freeMem = m, m.CPU, m.Memory
+		ms.finished, bins = bins[:nbins:nbins], bins[nbins:]
+		ms.abnormal, bins = bins[:nbins:nbins], bins[nbins:]
 		// Bimodal page-cache affinity: some machines serve file-backed
 		// workloads, most do not (Fig 7d).
 		if sm.s.Bool(0.45) {
@@ -612,10 +633,12 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 	// Pre-size the hot-path buffers. The heap holds one completion per
 	// running task plus resubmissions and churn: a few dozen entries
 	// per machine (7,127 at the peak of a 200-machine, 3-day paper
-	// run). The output stream carries roughly SUBMIT + SCHEDULE +
+	// run). The event stream carries roughly SUBMIT + SCHEDULE +
 	// terminal per attempt.
 	sm.events.evs = make([]simEvent, 0, 48*nm)
-	sm.out = make([]trace.TaskEvent, 0, 3*len(tasks))
+	if cfg.EmitTrace {
+		sm.out = make([]trace.TaskEvent, 0, 3*len(tasks))
+	}
 
 	// Seed machine churn.
 	if cfg.ChurnMTBF > 0 && cfg.ChurnDowntime > 0 {
@@ -666,9 +689,25 @@ func (sm *sim) newRunningTask() *runningTask {
 	return rt
 }
 
+// emit counts one task event in the run-level tallies and, unless it
+// is a SUBMIT (which has no machine), in its machine's. The event
+// itself is kept only under Config.EmitTrace.
 func (sm *sim) emit(e trace.TaskEvent) {
-	sm.out = append(sm.out, e)
+	if sm.cfg.EmitTrace {
+		sm.out = append(sm.out, e)
+	}
 	sm.stats.EventCounts[e.Type]++
+	if e.Machine < 0 {
+		return
+	}
+	ms := sm.machines[e.Machine]
+	ms.evCounts[e.Type]++
+	switch {
+	case e.Type == trace.EventFinish:
+		ms.finished[e.Time/sm.cfg.SamplePeriod]++
+	case e.Type.Abnormal():
+		ms.abnormal[e.Time/sm.cfg.SamplePeriod]++
+	}
 }
 
 // run drains the event heap. Cancellation and the "cluster.run" fault
@@ -1140,7 +1179,7 @@ func (sm *sim) account(rt *runningTask, end int64) {
 		cpuUse: rt.cpuUse, memUse: rt.memUse, memReq: rt.task.MemReq, cacheUse: rt.cacheUse,
 		machine: int32(rt.machine), group: int32(trace.GroupOf(rt.task.Priority)),
 	})
-	if sm.cfg.EmitUsage {
+	if sm.cfg.EmitTrace {
 		sm.usage = append(sm.usage, trace.UsageSample{
 			Start: rt.start, End: end,
 			JobID: rt.task.JobID, TaskIndex: rt.task.Index,
@@ -1351,7 +1390,7 @@ func (sm *sim) result() *Result {
 		Stats:         sm.stats,
 	}
 	for i, ms := range sm.machines {
-		s := &MachineSeries{Machine: ms.m}
+		s := &MachineSeries{Machine: ms.m, EventCounts: ms.evCounts}
 		for g := 0; g < 3; g++ {
 			s.CPUByGroup[g] = sm.acct.cpu[i][g].Series()
 			s.MemByGroup[g] = sm.acct.mem[i][g].Series()
@@ -1366,9 +1405,19 @@ func (sm *sim) result() *Result {
 		s.PageCache = sm.acct.cache[i].Series()
 		clampSeries(s.PageCache, ms.m.PageCache)
 		s.Running = sm.acct.running[i].Series()
+		s.Finished = sm.cumulative(ms.finished)
+		s.Abnormal = sm.cumulative(ms.abnormal)
 		res.Machines = append(res.Machines, s)
 	}
 	return res
+}
+
+// cumulative turns per-window counts into running totals in place.
+func (sm *sim) cumulative(counts []float64) *timeseries.Series {
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	return &timeseries.Series{Step: sm.cfg.SamplePeriod, Values: counts}
 }
 
 // clampGroups scales the per-group series down proportionally wherever

@@ -36,6 +36,26 @@ func oneTask(jobID int64, submit int64, prio int, cpu, mem float64, dur int64) t
 
 func alwaysFinish() OutcomeMix { return OutcomeMix{Finish: 1} }
 
+// simulateTraced runs cfg with EmitTrace set and checks that the log
+// holds exactly the events the run counted, so no test that reads
+// Events can pass on a log that was never kept.
+func simulateTraced(t *testing.T, cfg Config, tasks []trace.Task, s *rng.Stream) *Result {
+	t.Helper()
+	cfg.EmitTrace = true
+	res, err := Simulate(cfg, tasks, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted int
+	for _, n := range res.Stats.EventCounts {
+		counted += n
+	}
+	if len(res.Events) != counted {
+		t.Fatalf("event log holds %d events, the run counted %d", len(res.Events), counted)
+	}
+	return res
+}
+
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	if _, err := Simulate(Config{Horizon: 10}, nil, rng.New(1)); err == nil {
 		t.Fatal("no machines accepted")
@@ -49,10 +69,7 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	cfg := DefaultConfig(smallPark(1), 3600)
 	cfg.Outcomes = alwaysFinish()
 	tasks := []trace.Task{oneTask(1, 100, 5, 0.5, 0.5, 600)}
-	res, err := Simulate(cfg, tasks, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(2))
 	if len(res.Events) != 3 {
 		t.Fatalf("events %v", res.Events)
 	}
@@ -77,6 +94,21 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	if res.Stats.AbnormalFraction() != 0 {
 		t.Fatal("finish-only run reported abnormal events")
 	}
+	// Fig 8 tallies: SCHEDULE and FINISH are the machine's (SUBMIT has
+	// no machine), and with step 300 the FINISH at t=700 lands in
+	// window 2, so the cumulative count reads 1 from there on.
+	m := res.Machines[0]
+	if m.EventCounts[trace.EventSubmit] != 0 || m.EventCounts[trace.EventSchedule] != 1 ||
+		m.EventCounts[trace.EventFinish] != 1 {
+		t.Fatalf("machine event counts %v", m.EventCounts)
+	}
+	fin, abn := m.Finished.Values, m.Abnormal.Values
+	if len(fin) != 12 || fin[1] != 0 || fin[2] != 1 || fin[11] != 1 {
+		t.Fatalf("cumulative finished %v", fin)
+	}
+	if abn[11] != 0 {
+		t.Fatalf("cumulative abnormal %v", abn)
+	}
 }
 
 // TestArrivalBeatsSameTimeCompletion pins the (time, seq) tie-break:
@@ -90,10 +122,7 @@ func TestArrivalBeatsSameTimeCompletion(t *testing.T) {
 		oneTask(1, 0, 5, 1, 1, 100), // runs [0, 100)
 		oneTask(2, 100, 5, 1, 1, 100),
 	}
-	res, err := Simulate(cfg, tasks, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(2))
 	var got []string
 	for _, e := range res.Events {
 		got = append(got, fmt.Sprintf("%d:%d:%v", e.Time, e.JobID, e.Type))
@@ -112,10 +141,7 @@ func TestEventStreamObeysStateMachine(t *testing.T) {
 	gcfg.Arrival.PerHour = 30
 	gcfg.MaxTasksPerJob = 100
 	tasks := synth.GenerateGoogleTasks(gcfg, rng.New(4))
-	res, err := Simulate(cfg, tasks, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(5))
 	tr := &trace.Trace{Machines: machines, Events: res.Events}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("simulated event stream violates the Fig 1 state machine: %v", err)
@@ -166,10 +192,7 @@ func TestPriorityPreemption(t *testing.T) {
 		oneTask(1, 0, 2, 0.9, 0.9, 3000),
 		oneTask(2, 100, 11, 0.9, 0.9, 500),
 	}
-	res, err := Simulate(cfg, tasks, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(7))
 	if res.Stats.Preemptions != 1 {
 		t.Fatalf("preemptions %d, want 1", res.Stats.Preemptions)
 	}
@@ -196,10 +219,7 @@ func TestNoPreemptionWhenDisabled(t *testing.T) {
 		oneTask(1, 0, 2, 0.9, 0.9, 3000),
 		oneTask(2, 100, 11, 0.9, 0.9, 500),
 	}
-	res, err := Simulate(cfg, tasks, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(8))
 	if res.Stats.Preemptions != 0 {
 		t.Fatal("preemption happened while disabled")
 	}
@@ -219,10 +239,7 @@ func TestFCFSWithinPriority(t *testing.T) {
 		oneTask(1, 0, 5, 0.9, 0.9, 1000),
 		oneTask(2, 10, 5, 0.9, 0.9, 1000),
 	}
-	res, err := Simulate(cfg, tasks, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(9))
 	var sched []int64
 	for _, e := range res.Events {
 		if e.Type == trace.EventSchedule {
@@ -245,10 +262,7 @@ func TestHigherPriorityScheduledFirst(t *testing.T) {
 		oneTask(3, 10, 9, 0.9, 0.9, 100),
 	}
 	cfg.Preemption = false
-	res, err := Simulate(cfg, tasks, rng.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(10))
 	var order []int64
 	for _, e := range res.Events {
 		if e.Type == trace.EventSchedule {
@@ -298,10 +312,7 @@ func TestRetriesResubmit(t *testing.T) {
 	cfg.FailRetryP = 1
 	cfg.MaxRetries = 3
 	tasks := []trace.Task{oneTask(1, 0, 5, 0.1, 0.1, 600)}
-	res, err := Simulate(cfg, tasks, rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(13))
 	// Original + 3 retries = 4 submits, 4 schedules, 4 fails.
 	if got := res.Stats.EventCounts[trace.EventSubmit]; got != 4 {
 		t.Fatalf("submits %d, want 4", got)
@@ -318,12 +329,8 @@ func TestRetriesResubmit(t *testing.T) {
 func TestEmitUsage(t *testing.T) {
 	cfg := DefaultConfig(smallPark(1), 3600)
 	cfg.Outcomes = alwaysFinish()
-	cfg.EmitUsage = true
 	tasks := []trace.Task{oneTask(1, 0, 5, 0.5, 0.4, 900)}
-	res, err := Simulate(cfg, tasks, rng.New(14))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, tasks, rng.New(14))
 	if len(res.Usage) != 1 {
 		t.Fatalf("usage samples %d", len(res.Usage))
 	}
@@ -373,10 +380,7 @@ func TestBalancedSpreadsLoad(t *testing.T) {
 		cfg := DefaultConfig(smallPark(8), 3600)
 		cfg.Placement = pol
 		cfg.Outcomes = alwaysFinish()
-		res, err := Simulate(cfg, mkTasks(), rng.New(17))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := simulateTraced(t, cfg, mkTasks(), rng.New(17))
 		used := map[int]bool{}
 		for _, e := range res.Events {
 			if e.Type == trace.EventSchedule {
@@ -444,11 +448,7 @@ func TestDeterministicSimulation(t *testing.T) {
 	gcfg.Arrival.PerHour = 10
 	run := func() *Result {
 		tasks := synth.GenerateGoogleTasks(gcfg, rng.New(21))
-		res, err := Simulate(cfg, tasks, rng.New(22))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return simulateTraced(t, cfg, tasks, rng.New(22))
 	}
 	a, b := run(), run()
 	if len(a.Events) != len(b.Events) {

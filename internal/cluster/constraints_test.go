@@ -17,10 +17,7 @@ func TestPlacementConstraintRespected(t *testing.T) {
 	cfg.Outcomes = alwaysFinish()
 	task := oneTask(1, 0, 5, 0.1, 0.1, 600)
 	task.MinCPUClass = 1.0
-	res, err := Simulate(cfg, []trace.Task{task}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, []trace.Task{task}, rng.New(1))
 	for _, e := range res.Events {
 		if e.Type == trace.EventSchedule && e.Machine != 2 {
 			t.Fatalf("constrained task placed on machine %d", e.Machine)
@@ -63,10 +60,7 @@ func TestConstraintWithPreemption(t *testing.T) {
 	low := oneTask(1, 0, 2, 0.95, 0.9, 5000)
 	high := oneTask(2, 100, 11, 0.9, 0.5, 600)
 	high.MinCPUClass = 1.0
-	res, err := Simulate(cfg, []trace.Task{low, high}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateTraced(t, cfg, []trace.Task{low, high}, rng.New(3))
 	var highMachine = -1
 	var lowEvicted bool
 	for _, e := range res.Events {

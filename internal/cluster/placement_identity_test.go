@@ -73,21 +73,15 @@ func TestReferencePlacementByteIdentical(t *testing.T) {
 	}
 }
 
-// assertSameRun simulates cfg with and without ReferencePlacement and
-// fails on the first difference in events, machine events, stats or
-// usage samples. It returns the reference result.
+// assertSameRun simulates cfg, traced, with and without
+// ReferencePlacement and fails on the first difference in events,
+// machine events, stats or CPU series. It returns the reference result.
 func assertSameRun(t *testing.T, cfg Config, tasks []trace.Task, s *rng.Stream) *Result {
 	t.Helper()
 	refCfg := cfg
 	refCfg.ReferencePlacement = true
-	ref, err := Simulate(refCfg, tasks, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := Simulate(cfg, tasks, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := simulateTraced(t, refCfg, tasks, s)
+	idx := simulateTraced(t, cfg, tasks, s)
 
 	if len(ref.Events) != len(idx.Events) {
 		t.Fatalf("event counts differ: reference %d vs indexed %d",

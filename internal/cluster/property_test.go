@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/synth"
+	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -39,9 +40,11 @@ func propertyConfig(seed uint64) (Config, []trace.Task, string) {
 }
 
 // TestSimulatorProperties checks conservation, capacity and ordering
-// invariants of the event stream over randomized configurations, and
-// that the indexed path (with its retry skip) matches the reference
-// path byte for byte.
+// invariants of the event stream over randomized configurations, that
+// the per-machine tallies match a rebuild from the stream, that
+// EmitTrace adds the log and changes nothing else, and that the
+// indexed path (with its retry skip) matches the reference path byte
+// for byte.
 func TestSimulatorProperties(t *testing.T) {
 	const configs = 50
 	for i := range configs {
@@ -50,18 +53,25 @@ func TestSimulatorProperties(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			t.Log(desc)
-			res, err := Simulate(cfg, tasks, rng.New(seed))
+			res := simulateTraced(t, cfg, tasks, rng.New(seed))
+			checkEventStream(t, cfg, tasks, res)
+			checkMachineTallies(t, res)
+
+			plain, err := Simulate(cfg, tasks, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkEventStream(t, cfg, tasks, res)
+			if plain.Events != nil || plain.Usage != nil {
+				t.Fatal("event log kept without EmitTrace")
+			}
+			if !reflect.DeepEqual(plain.Machines, res.Machines) || !reflect.DeepEqual(plain.Pending, res.Pending) ||
+				!reflect.DeepEqual(plain.MachineEvents, res.MachineEvents) || !reflect.DeepEqual(plain.Stats, res.Stats) {
+				t.Fatal("EmitTrace changed the results")
+			}
 
 			refCfg := cfg
 			refCfg.ReferencePlacement = true
-			ref, err := Simulate(refCfg, tasks, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := simulateTraced(t, refCfg, tasks, rng.New(seed))
 			if !reflect.DeepEqual(ref.Events, res.Events) {
 				t.Fatal("events differ from the reference path")
 			}
@@ -181,5 +191,45 @@ func checkEventStream(t *testing.T, cfg Config, tasks []trace.Task, res *Result)
 	if stillPending != res.Stats.NeverScheduled {
 		t.Fatalf("%d tasks pending at the horizon, Stats.NeverScheduled = %d",
 			stillPending, res.Stats.NeverScheduled)
+	}
+}
+
+// checkMachineTallies rebuilds every machine's Fig 8 tallies from
+// res.Events the way fig8 once derived them from the log, keyed by
+// machine index: filter the machine's events, count them by type, bin
+// the terminal ones by sampling window (clamped into the series) and
+// accumulate the bins.
+func checkMachineTallies(t *testing.T, res *Result) {
+	t.Helper()
+	for mi, ms := range res.Machines {
+		run := ms.Running
+		fin := &timeseries.Series{Start: run.Start, Step: run.Step, Values: make([]float64, run.Len())}
+		abn := &timeseries.Series{Start: run.Start, Step: run.Step, Values: make([]float64, run.Len())}
+		var counts [trace.NumEventTypes]int
+		for _, e := range res.Events {
+			if e.Machine != mi {
+				continue
+			}
+			counts[e.Type]++
+			if !e.Type.Terminal() {
+				continue
+			}
+			idx := min(max(int((e.Time-run.Start)/run.Step), 0), run.Len()-1)
+			if e.Type == trace.EventFinish {
+				fin.Values[idx]++
+			} else {
+				abn.Values[idx]++
+			}
+		}
+		for i := 1; i < run.Len(); i++ {
+			fin.Values[i] += fin.Values[i-1]
+			abn.Values[i] += abn.Values[i-1]
+		}
+		if counts != ms.EventCounts {
+			t.Fatalf("machine %d event counts %v, rebuilt from the log %v", mi, ms.EventCounts, counts)
+		}
+		if !reflect.DeepEqual(ms.Finished, fin) || !reflect.DeepEqual(ms.Abnormal, abn) {
+			t.Fatalf("machine %d completion series differ from the rebuild", mi)
+		}
 	}
 }

@@ -106,24 +106,23 @@ func Fig8(ctx *Context) (*Result, error) {
 	})
 	pick := occs[len(occs)/2].idx
 	ms := sim.Machines[pick]
-	qs := hostload.MachineQueueState(ms, sim.Events)
 
 	s := report.NewSeries("fig8", fmt.Sprintf("Queue state on machine %d", ms.Machine.ID), "day")
-	n := qs.Running.Len()
+	n := ms.Running.Len()
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = float64(qs.Running.TimeAt(i)) / 86400
+		xs[i] = float64(ms.Running.TimeAt(i)) / 86400
 	}
 	s.X = xs
-	s.Add("running", qs.Running.Values)
+	s.Add("running", ms.Running.Values)
 	pending := sim.Pending.Values
 	perHost := make([]float64, n)
 	for i := 0; i < n && i < len(pending); i++ {
 		perHost[i] = pending[i] / float64(len(sim.Machines))
 	}
 	s.Add("pending(cluster/host)", perHost)
-	s.Add("finished", qs.Finished.Values)
-	s.Add("abnormal", qs.Abnormal.Values)
+	s.Add("finished", ms.Finished.Values)
+	s.Add("abnormal", ms.Abnormal.Values)
 	res.Series = append(res.Series, s)
 
 	// Event mix on this machine plus cluster-wide completion stats.
@@ -132,16 +131,11 @@ func Fig8(ctx *Context) (*Result, error) {
 		Title:   fmt.Sprintf("Fig 8: event counts (machine %d and cluster)", ms.Machine.ID),
 		Columns: []string{"event", "machine count", "cluster count"},
 	}
-	machineEvents := hostload.MachineEvents(sim.Events, ms.Machine.ID)
-	mc := map[trace.EventType]int{}
-	for _, e := range machineEvents {
-		mc[e.Type]++
-	}
 	for _, et := range []trace.EventType{
 		trace.EventSubmit, trace.EventSchedule, trace.EventFinish,
 		trace.EventEvict, trace.EventFail, trace.EventKill, trace.EventLost,
 	} {
-		tbl.AddRow(et.String(), fmt.Sprintf("%d", mc[et]),
+		tbl.AddRow(et.String(), fmt.Sprintf("%d", ms.EventCounts[et]),
 			fmt.Sprintf("%d", sim.Stats.EventCounts[et]))
 	}
 	res.Tables = append(res.Tables, tbl)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestBuildRetryRecoversFromPanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sim under injected panic: %v", err)
 	}
-	if len(got.Events) != len(want.Events) || got.Stats.AbnormalFraction() != want.Stats.AbnormalFraction() {
+	if !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(got.Machines, want.Machines) {
 		t.Fatal("retried build differs from fault-free build")
 	}
 	reg := rec.Registry()

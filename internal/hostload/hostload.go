@@ -1,6 +1,6 @@
 // Package hostload implements the Section IV host-load analyses of
 // the paper: per-machine maximum-load distributions by capacity class
-// (Fig 7), queue states and task events (Fig 8), mass-count disparity
+// (Fig 7), mass-count disparity
 // of unchanged running-queue-state durations (Fig 9), usage-level
 // traces (Fig 10), unchanged usage-level duration statistics (Tables
 // II-III), usage mass-count (Figs 11-12) and the Google-vs-Grid
@@ -8,9 +8,7 @@
 package hostload
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/par"
@@ -153,64 +151,6 @@ func AtCapacityFraction(machines []*cluster.MachineSeries, attr Attribute, frac 
 		out[cap] = float64(hit) / float64(len(maxima))
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Fig 8: task events and queue state on one machine
-
-// MachineEvents filters the event stream to one machine, returning
-// events ordered by time (Fig 8a).
-func MachineEvents(events []trace.TaskEvent, machineID int) []trace.TaskEvent {
-	var out []trace.TaskEvent
-	for _, e := range events {
-		if e.Machine == machineID {
-			out = append(out, e)
-		}
-	}
-	// Stable: the simulator emits same-time events for one machine in a
-	// deterministic order, and an unstable sort could reorder them
-	// differently across Go releases.
-	slices.SortStableFunc(out, func(a, b trace.TaskEvent) int { return cmp.Compare(a.Time, b.Time) })
-	return out
-}
-
-// QueueState is the Fig 8b view of one machine: the running count and
-// the cumulative finished/abnormal completions over time.
-type QueueState struct {
-	Running  *timeseries.Series
-	Finished *timeseries.Series // cumulative FINISH count
-	Abnormal *timeseries.Series // cumulative EVICT+FAIL+KILL+LOST count
-}
-
-// MachineQueueState derives the queue-state series of one machine from
-// the simulator's running series and the event stream.
-func MachineQueueState(ms *cluster.MachineSeries, events []trace.TaskEvent) QueueState {
-	run := ms.Running
-	fin := &timeseries.Series{Start: run.Start, Step: run.Step, Values: make([]float64, run.Len())}
-	abn := &timeseries.Series{Start: run.Start, Step: run.Step, Values: make([]float64, run.Len())}
-	for _, e := range MachineEvents(events, ms.Machine.ID) {
-		if !e.Type.Terminal() {
-			continue
-		}
-		idx := int((e.Time - run.Start) / run.Step)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= run.Len() {
-			idx = run.Len() - 1
-		}
-		if e.Type == trace.EventFinish {
-			fin.Values[idx]++
-		} else {
-			abn.Values[idx]++
-		}
-	}
-	// Cumulative sums.
-	for i := 1; i < run.Len(); i++ {
-		fin.Values[i] += fin.Values[i-1]
-		abn.Values[i] += abn.Values[i-1]
-	}
-	return QueueState{Running: run, Finished: fin, Abnormal: abn}
 }
 
 // ---------------------------------------------------------------------------

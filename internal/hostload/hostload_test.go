@@ -94,31 +94,6 @@ func TestAtCapacityFraction(t *testing.T) {
 	}
 }
 
-func TestMachineEventsAndQueueState(t *testing.T) {
-	ms := fakeMachine(3, 1, 1, 300, make([]float64, 10), make([]float64, 10), make([]float64, 10))
-	events := []trace.TaskEvent{
-		{Time: 100, JobID: 1, Machine: 3, Type: trace.EventSchedule},
-		{Time: 700, JobID: 1, Machine: 3, Type: trace.EventFinish},
-		{Time: 900, JobID: 2, Machine: 3, Type: trace.EventFail},
-		{Time: 500, JobID: 9, Machine: 8, Type: trace.EventFinish}, // other machine
-	}
-	me := MachineEvents(events, 3)
-	if len(me) != 3 {
-		t.Fatalf("machine events %v", me)
-	}
-	if me[0].Time != 100 {
-		t.Fatal("events not sorted")
-	}
-	qs := MachineQueueState(ms, events)
-	// Finished becomes 1 from window 2 (t=700) onward.
-	if qs.Finished.Values[1] != 0 || qs.Finished.Values[2] != 1 || qs.Finished.Values[9] != 1 {
-		t.Fatalf("finished cumulative %v", qs.Finished.Values)
-	}
-	if qs.Abnormal.Values[9] != 1 {
-		t.Fatalf("abnormal cumulative %v", qs.Abnormal.Values)
-	}
-}
-
 func TestRunningStateDurations(t *testing.T) {
 	run := []float64{5, 5, 15, 15, 15, 25, 45, 45, 60}
 	ms := fakeMachine(0, 1, 1, 300, make([]float64, 9), make([]float64, 9), make([]float64, 9))

@@ -37,6 +37,9 @@ var eventNames = [...]string{
 	"SUBMIT", "SCHEDULE", "EVICT", "FAIL", "FINISH", "KILL", "LOST", "UPDATE",
 }
 
+// NumEventTypes is the number of task event types.
+const NumEventTypes = len(eventNames)
+
 // String returns the trace spelling of the event type.
 func (e EventType) String() string {
 	if e < 0 || int(e) >= len(eventNames) {

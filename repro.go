@@ -96,13 +96,16 @@ func GridSystemNames() []string {
 
 // SimulateGoogleCluster builds a heterogeneous machine park of the
 // given size, generates a utilisation-scaled Google workload and runs
-// the full cluster simulation over the horizon (seconds).
+// the full cluster simulation over the horizon (seconds). The result
+// carries the event stream and usage samples as well as the machine
+// series.
 func SimulateGoogleCluster(machines int, horizon int64, seed uint64) (*ClusterResult, error) {
 	s := rng.New(seed)
 	park := synth.GoogleMachines(machines, s.Child("machines"))
 	gcfg := synth.ScaledGoogleConfig(machines, horizon)
 	tasks := synth.GenerateGoogleTasks(gcfg, s.Child("workload"))
 	cfg := cluster.DefaultConfig(park, horizon)
+	cfg.EmitTrace = true
 	return cluster.Simulate(cfg, tasks, s.Child("sim"))
 }
 
