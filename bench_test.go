@@ -222,14 +222,44 @@ func BenchmarkRunAllParallelInstrumented(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks: the hot paths underneath the figures.
 
+// workloadCellGoogleConfig is the shape of the google_tasks cell at
+// paper-batch scale: one workload day, 150-task cap (~128k tasks).
+func workloadCellGoogleConfig() synth.GoogleConfig {
+	cfg := synth.DefaultGoogleConfig(86400)
+	cfg.MaxTasksPerJob = 150
+	return cfg
+}
+
 func BenchmarkGoogleWorkloadGeneration(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  synth.GoogleConfig
+	}{
+		{"default-6h", synth.DefaultGoogleConfig(6 * 3600)},
+		// The google_tasks cell of the paper-batch scenario.
+		{"workload-1d-cap150", workloadCellGoogleConfig()},
+		// The sim cell's input: 200 machines, 3 days, warm start.
+		{"sim-200m-3d-warm", synth.ScaledGoogleConfig(200, 3*86400)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tasks := synth.GenerateGoogleTasks(bc.cfg, rng.New(uint64(i+1)))
+				if len(tasks) == 0 {
+					b.Fatal("no tasks")
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkGoogleJobsFromTasks(b *testing.B) {
+	tasks := synth.GenerateGoogleTasks(workloadCellGoogleConfig(), rng.New(1))
 	b.ReportAllocs()
-	cfg := synth.DefaultGoogleConfig(6 * 3600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tasks := synth.GenerateGoogleTasks(cfg, rng.New(uint64(i+1)))
-		if len(tasks) == 0 {
-			b.Fatal("no tasks")
+		if jobs := synth.GoogleJobsFromTasks(tasks); len(jobs) == 0 {
+			b.Fatal("no jobs")
 		}
 	}
 }

@@ -197,6 +197,14 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
+	// Catch signals before anything announces itself (the pprof line,
+	// "serving on", ready): a supervisor that signals as soon as it sees
+	// one must get a drain, not the default kill. A signal that lands
+	// before the serve loop waits in sigCh.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	rec := obs.NewRecorder()
 	var store *ckpt.Store
 	if *ckptDir != "" {
@@ -314,10 +322,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			fmt.Fprintf(stderr, "reprod: prewarmed %d artifacts\n", n)
 		}()
 	}
-
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

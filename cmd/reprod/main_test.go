@@ -136,6 +136,43 @@ func TestRunServeAndDrain(t *testing.T) {
 	}
 }
 
+// TestRunImmediateSIGTERMDrains signals the daemon the moment it
+// reports ready, as a supervisor watching for "serving on" would: the
+// signal handler must already be installed, so the result is an exit-0
+// drain rather than the default SIGTERM kill of the whole process.
+func TestRunImmediateSIGTERMDrains(t *testing.T) {
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	var out, errw strings.Builder
+	go func() {
+		done <- run([]string{
+			"-addr", "127.0.0.1:0",
+			"-machines", "4", "-sim-days", "1", "-workload-days", "1",
+		}, &out, &errw, ready)
+	}()
+	select {
+	case <-ready:
+	case code := <-done:
+		t.Fatalf("daemon exited %d before becoming ready\nstderr: %s", code, errw.String())
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v", err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("drain exit = %d, want 0\nstderr: %s", code, errw.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never drained after SIGTERM")
+	}
+	if !strings.Contains(errw.String(), "drained cleanly") {
+		t.Errorf("stderr %q, want a clean-drain message", errw.String())
+	}
+}
+
 // TestRunPprofFlag: -pprof serves net/http/pprof on its own listener,
 // and an address that cannot be bound fails at startup.
 func TestRunPprofFlag(t *testing.T) {

@@ -620,14 +620,19 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 
 	// Seeded arrivals never enter the heap. Pushing them would give
 	// arrival i seq i, so (time, seq) order among them is (Submit,
-	// input position): a stable sort by Submit. Every later push gets a
-	// larger seq, so the cursor wins time ties against the heap.
+	// input position): a stable sort by Submit, which input already in
+	// Submit order (every synth generator's) does not need. Every later
+	// push gets a larger seq, so the cursor wins time ties against the
+	// heap.
 	for i := range tasks {
 		if tasks[i].Submit < cfg.Horizon {
 			sm.arrivals = append(sm.arrivals, &tasks[i])
 		}
 	}
-	slices.SortStableFunc(sm.arrivals, func(a, b *trace.Task) int { return cmp.Compare(a.Submit, b.Submit) })
+	bySubmit := func(a, b *trace.Task) int { return cmp.Compare(a.Submit, b.Submit) }
+	if !slices.IsSortedFunc(sm.arrivals, bySubmit) {
+		slices.SortStableFunc(sm.arrivals, bySubmit)
+	}
 	sm.seq = int64(len(sm.arrivals))
 
 	// Pre-size the hot-path buffers. The heap holds one completion per
